@@ -64,10 +64,12 @@ averages depend on the joint (error, exact sum) distribution and remain
 ``None`` in analytic results.
 
 The DP is vectorised in two passes.  A *symbolic* pass walks the event
-bits only, tracking for every error value an upper bound on its trailing
-propagate run; that discovers the full error support and compiles the
-scan into a short op list (segment matmuls + index-planned emissions).
-Runs of event-free bits never need per-bit scanning: the ``(carry, run)``
+bits only, on arrays, tracking for every error value an upper bound on
+its trailing propagate run; that discovers the full error support and
+plans every emission's index moves.  It depends on the layout alone, so
+one pass serves every bit profile; binding a profile compiles it into a
+short op list (segment matmuls + index-planned emissions).  Runs of
+event-free bits never need per-bit scanning: the ``(carry, run)``
 distribution after ``g`` homogeneous bits has a closed form (the run is
 geometric in the propagate probability, the carry chain is a two-state
 Markov chain), so each gap collapses into a single precomputed segment
@@ -81,10 +83,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.metrics.error_metrics import TABLE1_MAA_THRESHOLDS, ErrorStats
 
 __all__ = [
@@ -94,6 +97,7 @@ __all__ = [
     "ErrorPMF",
     "adder_error_pmf",
     "analytic_layout",
+    "analytic_overflow",
     "bit_probability_profile",
     "error_pmf",
 ]
@@ -346,6 +350,32 @@ def _emission_schedule(
     return {bit: tuple(entries) for bit, entries in schedule.items()}
 
 
+def _emission_ops(entries: Sequence[Tuple[int, int]],
+                  cap: int) -> Iterator[Tuple[int, int, int]]:
+    """One bit's schedule entries as emission ops ``(lo, hi, delta)``.
+
+    An op moves the carry-1 states with run in ``[lo, hi)`` to
+    ``error + delta``; ``hi == cap + 1`` moves every run from ``lo`` up.
+    """
+    j = 0
+    while j < len(entries):
+        threshold, delta = entries[j]
+        j += 1
+        # Peephole: a wrap (t1, +d) chased at the same bit by the next
+        # window's miss (t2, -d) with t2 <= t1 composes to a pure range
+        # move — every row's columns [t2, t1-1] shift to error - d and
+        # columns >= t1 stay put (the wrapped mass is re-missed in full).
+        # Fusing skips the transient wrap rows entirely.
+        if j < len(entries):
+            t2, d2 = entries[j]
+            if d2 == -delta and t2 <= threshold:
+                j += 1
+                if t2 < threshold:  # t2 == t1: the pair is a no-op
+                    yield t2, threshold, d2
+                continue
+        yield threshold, cap + 1, delta
+
+
 def _segment_matrix(n_states: int, cap: int, alpha: float, g: int,
                     with_generate: bool = True) -> np.ndarray:
     """Closed-form ``(carry, run)`` transition for ``g`` homogeneous bits.
@@ -455,25 +485,27 @@ def error_pmf(
         static_kind = "or"
     if rect and truncation:
         raise ValueError("rectified windows require a truncation-free layout")
-    plan = _compile_plan(width, tuple(windows), truncation, profile,
-                         max_support, static_kind, rect)
-    return _execute_plan(width, plan)
+    symbolic = _symbolic_pass(width, tuple(windows), truncation, max_support,
+                              static_kind, rect)
+    return _execute_plan(width, _bind_profile(symbolic, profile))
 
 
-def _compile_plan(
+def _symbolic_pass(
     width: int,
     windows: Tuple[object, ...],
     truncation: int,
-    bit_one: Tuple[float, ...],
     max_support: int,
     static_kind: Optional[str] = None,
     rectified: Tuple[int, ...] = (),
 ) -> Tuple[Tuple[int, ...], Tuple[Tuple, ...], int, int]:
-    """Symbolic pass: plan a layout's DP as ``(errors, ops, cap, n_states)``.
+    """Symbolic pass: a layout's plan with the bit profile left open.
 
-    The plan is a pure function of its arguments and holds no probability
-    mass, so callers may compile once and replay many times (see
-    :func:`adder_error_pmf`).
+    Returns ``(errors, steps, cap, n_states)``, where ``steps`` are the
+    plan's ops with ``("gap", start, stop)`` standing for event-free bits,
+    ``("tbit", bit, n0, dst)`` for a truncated bit, and finished ``emit``
+    ops.  Which rows exist and which an emission moves never depend on
+    the profile, so one pass serves every profile (and decides whether
+    the support fits at all).
     """
     schedule = _emission_schedule(windows, truncation, rectified)
     if not schedule and truncation == 0:
@@ -489,55 +521,71 @@ def _compile_plan(
         cap = 1 << cap.bit_length()
     n_states = 2 * (cap + 1)  # state index = carry * (cap + 1) + run
 
-    # -- symbolic pass -------------------------------------------------------
-    #
     # Walk the event bits only, tracking per error value an upper bound on
     # its trailing propagate run (-1 == carry-1 block certainly empty).
     # That is enough to know which rows an emission *can* move, so the
     # full support and every emission's index plan are known before any
     # probability mass is touched; rows whose bound is loose just move
     # zero mass in the numeric replay.
-    errors: List[int] = [0]
-    index: Dict[int, int] = {0: 0}
-    maxrun: List[int] = [-1]
-    ops: List[Tuple] = []
+    #
+    # Rows live in arrays: ``errors``/``maxrun`` in row (creation) order,
+    # plus ``keys`` — the errors sorted — and ``perm`` mapping each sorted
+    # slot back to its row, so a whole emission's targets are looked up
+    # with one searchsorted.  Unseen targets become new rows in ascending
+    # order of their source row, which fixes the row numbering (and so
+    # every op's index arrays) independently of how the lookup is done.
+    #
+    # Windows tile the result bits, so every tracked error is a signed sum
+    # of distinct deltas of at most two per bit position and stays below
+    # 2**(width + 2) in magnitude: int64 holds it up to width 61, wider
+    # layouts keep exact Python ints in object arrays.
+    dtype = np.int64 if width <= 61 else object
+    errors = np.zeros(1, dtype=dtype)
+    maxrun = np.full(1, -1, dtype=np.int64)
+    keys = errors
+    perm = np.zeros(1, dtype=np.intp)
+    steps: List[Tuple] = []
 
-    def row(e: int) -> int:
-        r = index.get(e)
-        if r is None:
-            if len(errors) >= max_support:
+    def land(targets: np.ndarray, runs: np.ndarray) -> np.ndarray:
+        """Rows of the (distinct) target errors, appending unseen ones;
+        each target's run bound rises to at least its entry of ``runs``."""
+        nonlocal errors, maxrun, keys, perm
+        pos = np.minimum(keys.searchsorted(targets), len(keys) - 1)
+        dst = perm[pos]
+        fresh = (keys[pos] != targets).nonzero()[0]
+        if len(fresh):
+            n0 = len(errors)
+            if n0 + len(fresh) > max_support:
                 raise AnalyticUnsupported(
-                    f"error support exceeds {max_support} values; layout is "
-                    "too irregular for the analytic backend")
-            r = len(errors)
-            index[e] = r
-            errors.append(e)
-            maxrun.append(-1)
-        return r
-
-    def matrix(alpha: float, g: int, with_generate: bool = True) -> np.ndarray:
-        return _cached_segment_matrix(n_states, cap, alpha, g, with_generate)
+                    f"error support exceeds {max_support} values; layout "
+                    "is too irregular for the analytic backend")
+            new_rows = np.arange(n0, n0 + len(fresh), dtype=np.intp)
+            dst[fresh] = new_rows
+            new = targets[fresh]
+            errors = np.concatenate((errors, new))
+            maxrun = np.concatenate((maxrun, runs[fresh]))
+            # keys is one sorted run, so the stable sort is a linear
+            # merge plus a sort of the new keys alone.
+            keys = np.concatenate((keys, new))
+            order = keys.argsort(kind="stable")
+            keys = keys[order]
+            perm = np.concatenate((perm, new_rows))[order]
+        maxrun[dst] = np.maximum(maxrun[dst], runs)
+        return dst
 
     def advance_gap(start: int, stop: int) -> None:
-        """Plan the event-free bits [start, stop) as segment matmuls."""
-        i = start
-        while i < stop:
-            j = i + 1
-            while j < stop and bit_one[j] == bit_one[i]:
-                j += 1
-            g = j - i
-            ops.append(("mat", matrix(bit_one[i], g)))
-            for r in range(len(maxrun)):
-                grown = maxrun[r] + g if maxrun[r] >= 0 else g - 1
-                maxrun[r] = min(cap, grown)
-            i = j
+        """Plan the event-free bits [start, stop)."""
+        if start < stop:
+            steps.append(("gap", start, stop))
+            # An empty block (-1) leaves stop - start - 1 too: the run
+            # can only have started inside the gap.
+            np.minimum(maxrun + (stop - start), cap, out=maxrun)
 
     event_bits = sorted(set(schedule) | set(range(min(truncation, width))))
     pos = 0
     for bit in event_bits:
         if bit < truncation:
-            if bit > pos:
-                advance_gap(pos, bit)
+            advance_gap(pos, bit)
             # Generate under the truncation: the OR'd result bit stays at
             # one while the exact sum bit drops to zero, costing 2**bit.
             # HOERAA's top static bit is a half-adder sum instead of an
@@ -548,73 +596,68 @@ def _compile_plan(
             delta = 1 << bit
             if static_kind == "hoeraa" and bit == truncation - 1:
                 delta = 1 << (bit + 1)
-            alpha = bit_one[bit]
             n0 = len(errors)
-            dst = [row(errors[r] - delta) for r in range(n0)]
-            ops.append(("tbit", matrix(alpha, 1, with_generate=False), n0,
-                        np.asarray(dst, dtype=np.intp), alpha * alpha))
-            for r in range(n0):
-                maxrun[r] = min(cap, maxrun[r] + 1) if maxrun[r] >= 0 else -1
-            for d in dst:
-                maxrun[d] = max(maxrun[d], 0)
+            maxrun[:] = np.where(maxrun >= 0, np.minimum(cap, maxrun + 1), -1)
+            dst = land(errors - delta, np.zeros(n0, dtype=np.int64))
+            steps.append(("tbit", bit, n0, dst))
         else:
             # The bit's own transition is an ordinary segment bit: fold it
             # into the preceding gap so the pair plans as one matmul.
             advance_gap(pos, bit + 1)
-        entries = schedule.get(bit, ())
-        j = 0
-        while j < len(entries):
-            threshold, delta = entries[j]
-            # Peephole: a wrap (t1, +d) chased at the same bit by the next
-            # window's miss (t2, -d) with t2 <= t1 composes to a pure range
-            # move — every row's columns [t2, t1-1] shift to error - d and
-            # columns >= t1 stay put (the wrapped mass is re-missed in
-            # full).  Fusing skips the transient wrap rows entirely.
-            if j + 1 < len(entries):
-                t2, d2 = entries[j + 1]
-                if d2 == -delta and t2 <= threshold:
-                    j += 2
-                    if t2 == threshold:
-                        continue  # empty range: the pair is a no-op
-                    n0 = len(errors)
-                    hot = [r for r in range(n0) if maxrun[r] >= t2]
-                    if not hot:
-                        continue
-                    pre = [maxrun[r] for r in hot]
-                    for r in hot:
-                        if maxrun[r] < threshold:
-                            maxrun[r] = t2 - 1
-                    dst = []
-                    for r, peak in zip(hot, pre):
-                        d = row(errors[r] + d2)
-                        maxrun[d] = max(maxrun[d], min(peak, threshold - 1))
-                        dst.append(d)
-                    ops.append(("emit", np.asarray(hot, dtype=np.intp),
-                                np.asarray(dst, dtype=np.intp),
-                                cap + 1 + t2, cap + 1 + threshold))
-                    continue
-            j += 1
-            n0 = len(errors)
-            hot = [r for r in range(n0) if maxrun[r] >= threshold]
-            if not hot:
+        for lo, hi, delta in _emission_ops(schedule.get(bit, ()), cap):
+            hot = (maxrun >= lo).nonzero()[0]
+            if not len(hot):
                 continue
-            pre = [maxrun[r] for r in hot]
-            for r in hot:
-                maxrun[r] = threshold - 1  # -1 for threshold 0: block empty
-            dst = []
-            for r, peak in zip(hot, pre):
-                d = row(errors[r] + delta)
-                maxrun[d] = max(maxrun[d], peak)
-                dst.append(d)
-            ops.append(("emit", np.asarray(hot, dtype=np.intp),
-                        np.asarray(dst, dtype=np.intp),
-                        cap + 1 + threshold, n_states))
+            # A moved row keeps only runs below lo (-1 for threshold 0:
+            # block empty) unless runs at or above hi stay put with it;
+            # its target inherits the moved runs.
+            peak = maxrun[hot]
+            maxrun[hot[peak < hi]] = lo - 1
+            dst = land(errors[hot] + delta, np.minimum(peak, hi - 1))
+            steps.append(("emit", hot, dst, cap + 1 + lo, cap + 1 + hi))
         pos = bit + 1
     # Segment matmuls are row-stochastic, so anything after the last
     # emission preserves every row's mass and cannot change the PMF.
-    while ops and ops[-1][0] == "mat":
-        ops.pop()
-    return (tuple(errors), tuple(ops), cap, n_states)
+    while steps and steps[-1][0] == "gap":
+        steps.pop()
+    return (tuple(errors.tolist()), tuple(steps), cap, n_states)
+
+
+def _bind_profile(
+    symbolic: Tuple[Tuple[int, ...], Tuple[Tuple, ...], int, int],
+    bit_one: Tuple[float, ...],
+) -> Tuple[Tuple[int, ...], Tuple[Tuple, ...], int, int]:
+    """Bind a bit profile: the plan ``(errors, ops, cap, n_states)``.
+
+    Each gap becomes one segment matmul per run of equal bit
+    probabilities; each truncated bit gets its generate-free matrix.
+    The plan holds no probability mass, so callers may compile once and
+    replay many times (see :func:`adder_error_pmf`).
+    """
+    errors, steps, cap, n_states = symbolic
+
+    def matrix(alpha: float, g: int, with_generate: bool = True) -> np.ndarray:
+        return _cached_segment_matrix(n_states, cap, alpha, g, with_generate)
+
+    ops: List[Tuple] = []
+    for step in steps:
+        tag = step[0]
+        if tag == "gap":
+            _, i, stop = step
+            while i < stop:
+                j = i + 1
+                while j < stop and bit_one[j] == bit_one[i]:
+                    j += 1
+                ops.append(("mat", matrix(bit_one[i], j - i)))
+                i = j
+        elif tag == "tbit":
+            _, bit, n0, dst = step
+            alpha = bit_one[bit]
+            ops.append(("tbit", matrix(alpha, 1, with_generate=False), n0,
+                        dst, alpha * alpha))
+        else:
+            ops.append(step)
+    return (errors, tuple(ops), cap, n_states)
 
 
 def _execute_plan(
@@ -656,6 +699,52 @@ def _execute_plan(
     )
 
 
+def _adder_plans(adder) -> Dict:
+    """The adder's plan memo: ``max_support -> symbolic pass`` plus
+    ``(profile, max_support) -> plan``."""
+    plans = getattr(adder, "_analytic_plans", None)
+    if plans is None:
+        plans = {}
+        try:
+            adder._analytic_plans = plans
+        except (AttributeError, TypeError):  # slotted/frozen foreign models
+            pass
+    return plans
+
+
+def _adder_symbolic(adder, layout, max_support: int):
+    """The adder's memoised symbolic pass (raises when it overflows)."""
+    plans = _adder_plans(adder)
+    symbolic = plans.get(max_support)
+    if symbolic is None:
+        width, windows, truncation, static_kind, rectified = layout
+        try:
+            symbolic = _symbolic_pass(width, tuple(windows), truncation,
+                                      max_support, static_kind, rectified)
+        except AnalyticUnsupported:
+            obs.count("engine.analytic.plan.overflow")
+            raise
+        plans[max_support] = symbolic
+    return symbolic
+
+
+def _adder_plan(adder, layout, profile: Tuple[float, ...],
+                max_support: int):
+    """The adder's plan for ``profile``, memoised on the instance."""
+    plans = _adder_plans(adder)
+    key = (profile, max_support)
+    plan = plans.get(key)
+    if plan is not None:
+        obs.count("engine.analytic.plan.hit")
+        return plan
+    obs.count("engine.analytic.plan.miss")
+    with obs.span("engine.analytic.plan"):
+        plan = _bind_profile(_adder_symbolic(adder, layout, max_support),
+                             profile)
+    plans[key] = plan
+    return plan
+
+
 def adder_error_pmf(
     adder,
     bit_one: Optional[Sequence[float]] = None,
@@ -664,11 +753,13 @@ def adder_error_pmf(
     """Exact error PMF of a supported adder model.
 
     Raises :class:`AnalyticUnsupported` when the adder is not purely
-    block-based (see :func:`analytic_layout`).
+    block-based (see :func:`analytic_layout`) or its error support
+    outgrows ``max_support``.
 
-    The symbolic plan depends only on the (immutable) layout and the bit
-    profile, so it is memoised on the adder instance per profile; repeat
-    evaluations of the same configuration pay only the numeric replay.
+    The symbolic pass depends only on the (immutable) layout and the
+    plan also on the bit profile, so both are memoised on the adder
+    instance; repeat evaluations of the same configuration pay only the
+    numeric replay, and a new profile only the binding of its matrices.
     """
     layout = analytic_layout(adder)
     if layout is None:
@@ -676,19 +767,43 @@ def adder_error_pmf(
             f"adder {getattr(adder, 'name', adder)!r} is not a pure "
             "block-based windowed adder; its arithmetic cannot be derived "
             "from a window layout")
-    width, windows, truncation, static_kind, rectified = layout
-    profile = _normalize_profile(width, bit_one)
-    plans = getattr(adder, "_analytic_plans", None)
-    if plans is None:
-        plans = {}
-        try:
-            adder._analytic_plans = plans
-        except (AttributeError, TypeError):
-            pass
-    key = (profile, max_support)
-    plan = plans.get(key)
-    if plan is None:
-        plan = _compile_plan(width, tuple(windows), truncation, profile,
-                             max_support, static_kind, rectified)
-        plans[key] = plan
-    return _execute_plan(width, plan)
+    profile = _normalize_profile(layout[0], bit_one)
+    plan = _adder_plan(adder, layout, profile, max_support)
+    with obs.span("engine.analytic.replay"):
+        return _execute_plan(layout[0], plan)
+
+
+def analytic_overflow(adder) -> Optional[str]:
+    """Why a block-based adder's error support outgrows ``MAX_SUPPORT``.
+
+    Returns ``None`` when the support fits (or the adder has no layout
+    at all — :func:`analytic_layout` answers that).  Each emission op at
+    most doubles the tracked rows, so ``2**ops`` soundly bounds the
+    support and only a layout whose bound exceeds the cap runs its
+    symbolic pass to find out; that pass stays memoised for the
+    evaluation that follows.  The rows never depend on the bit profile,
+    so the verdict is a property of the layout and is memoised on the
+    adder next to :func:`analytic_layout`'s answer.
+    """
+    cached = getattr(adder, "_analytic_overflow", None)
+    if cached is not None:
+        return cached[0]
+    layout = analytic_layout(adder)
+    reason = None
+    if layout is not None:
+        width, windows, truncation, _, rectified = layout
+        schedule = _emission_schedule(windows, truncation, rectified)
+        n_ops = min(truncation, width) + sum(
+            len(list(_emission_ops(entries, 0)))
+            for entries in schedule.values())
+        if (1 << n_ops) > MAX_SUPPORT:
+            try:
+                with obs.span("engine.analytic.plan"):
+                    _adder_symbolic(adder, layout, MAX_SUPPORT)
+            except AnalyticUnsupported as exc:
+                reason = str(exc)
+    try:
+        adder._analytic_overflow = (reason,)
+    except (AttributeError, TypeError):  # slotted/frozen foreign models
+        pass
+    return reason

@@ -19,8 +19,9 @@ caching and telemetry plumbing, the backend owns the mathematics:
   ``fixed`` mode.
 
 Requests name their backend (``EvalRequest.backend``); the pseudo-name
-``auto`` resolves to ``analytic`` when the request is solvable and falls
-back to ``sampling``.  Asking explicitly for a backend that cannot serve
+``auto`` resolves to ``analytic`` when the request is solvable — which
+includes its error support fitting ``MAX_SUPPORT`` — and falls back to
+``sampling``.  Asking explicitly for a backend that cannot serve
 the request raises :class:`~repro.engine.analytic.AnalyticUnsupported`
 rather than silently degrading.
 
@@ -43,6 +44,7 @@ from repro.engine.analytic import (
     ErrorPMF,
     adder_error_pmf,
     analytic_layout,
+    analytic_overflow,
     bit_probability_profile,
 )
 
@@ -117,7 +119,7 @@ class AnalyticBackend:
                 and request.distribution.bit_probabilities() is None):
             return (f"{type(request.distribution).__name__} has no per-bit "
                     "independent form")
-        return None
+        return analytic_overflow(request.adder)
 
     def evaluate(self, request: "EvalRequest",
                  engine: "Engine") -> "EvalResult":

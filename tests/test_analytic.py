@@ -7,25 +7,35 @@ profiles, and the engine's exhaustive statistics (themselves simulation)
 for uniform ones, including property-based random layouts.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.engine import AnalyticUnsupported, ErrorPMF, adder_error_pmf
-from repro.engine.analytic import bit_probability_profile, error_pmf
+from repro.engine.analytic import (
+    MAX_SUPPORT,
+    _symbolic_pass,
+    bit_probability_profile,
+    error_pmf,
+)
 from repro.metrics.exhaustive import exhaustive_stats
 from repro.spec.catalog import (
     SPEC_CATALOG,
     aca1_spec,
     catalog_spec,
+    cesa_rect_spec,
     etaii_spec,
     gda_spec,
     gear_spec,
     hetero_spec,
 )
+from repro.spec.ir import AdderSpec, WindowSpec
 from repro.utils.distributions import (
     GaussianOperands,
     SparseOperands,
@@ -176,11 +186,64 @@ def test_non_block_based_adder_is_unsupported():
         adder_error_pmf(ErrorTolerantAdderI(8, split=4))
 
 
-def test_support_cap_raises_cleanly():
-    spec = catalog_spec("hetero", 10)
+@pytest.mark.parametrize("key", ["hetero", "loa_half", "aca1_l4"])
+def test_support_cap_raises_cleanly(key):
+    spec = catalog_spec(key, 10)
+    windows = spec.to_windows()
+
+    def solve(cap):
+        return error_pmf(spec.width, windows, truncation=spec.truncation,
+                         max_support=cap)
+
     with pytest.raises(AnalyticUnsupported):
-        error_pmf(spec.width, spec.to_windows(), truncation=spec.truncation,
-                  max_support=2)
+        solve(2)
+    # The cap bounds the tracked rows exactly: a cap equal to the layout's
+    # row count fits, one less overflows.
+    rows = len(_symbolic_pass(spec.width, windows, spec.truncation,
+                              MAX_SUPPORT)[0])
+    assert solve(rows) == solve(MAX_SUPPORT)
+    with pytest.raises(AnalyticUnsupported, match=f"exceeds {rows - 1} "):
+        solve(rows - 1)
+
+
+#: Error PMFs whose support reaches past int64 (|error| >= 2**63), pinned
+#: exactly as computed by the list-based planner the array pass replaced.
+WIDE_PINS = Path(__file__).parent / "data" / "analytic_wide_pmfs.json"
+
+
+def _wide_layouts():
+    truncated = AdderSpec("wide_trunc_128", 128, (
+        WindowSpec(3, 66, 3, 66), WindowSpec(58, 127, 67, 127)),
+        truncation=3)
+    return {
+        "gear_64_1_62": (gear_spec(64, 1, 62), None),
+        "cesa_rect_128_16_16": (cesa_rect_spec(128, 16, 16), None),
+        "trunc_128_sparse": (
+            truncated, SparseOperands(128, 0.25).bit_probabilities()),
+    }
+
+
+@pytest.mark.parametrize("key", sorted(_wide_layouts()))
+def test_wide_width_pmf_is_pinned(key):
+    spec, profile = _wide_layouts()[key]
+    pmf = adder_error_pmf(spec.to_model(), bit_one=profile)
+    assert max(abs(e) for e in pmf.support) >= 1 << 63
+    assert pmf.to_dict() == json.loads(WIDE_PINS.read_text())[key]
+
+
+def test_plan_and_replay_are_observable():
+    adder = catalog_spec("gear_r2p2", 8).to_model()
+    with obs.collecting() as col:
+        adder_error_pmf(adder)
+        adder_error_pmf(adder)
+        with pytest.raises(AnalyticUnsupported):
+            adder_error_pmf(adder, max_support=1)
+    frame = col.snapshot()
+    assert frame.counters == {"engine.analytic.plan.miss": 2,
+                              "engine.analytic.plan.hit": 1,
+                              "engine.analytic.plan.overflow": 1}
+    assert frame.spans["engine.analytic.plan"].count == 2
+    assert frame.spans["engine.analytic.replay"].count == 2
 
 
 def test_bit_probability_profile_rules():

@@ -1,14 +1,18 @@
 """Tests for the pluggable backend layer (repro.engine.backends).
 
-Covers the registry contract, explicit and ``auto`` backend resolution,
-the analytic backend's exactness through the public ``evaluate`` path,
-cache-key disjointness between backends, determinism across worker
-counts, and the removed legacy request spellings (which now raise a
-pointed TypeError).
+Covers the registry contract, explicit and ``auto`` backend resolution
+(including the fallback when a layout's error support outgrows the
+analytic cap), the analytic backend's exactness through the public
+``evaluate`` path, cache-key disjointness between backends, determinism
+across worker counts, and the removed legacy request spellings (which
+now raise a pointed TypeError).
 """
+
+import dataclasses
 
 import pytest
 
+from repro import obs
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.engine import (
     BACKENDS,
@@ -20,6 +24,8 @@ from repro.engine import (
     resolve_backend,
 )
 from repro.metrics.exhaustive import exhaustive_stats
+from repro.serve import protocol
+from repro.spec.catalog import gear_spec
 from repro.utils.distributions import GaussianOperands, SparseOperands
 
 
@@ -74,6 +80,108 @@ def test_explicit_analytic_unsupported_raises(adder):
         adder, 100, distribution=GaussianOperands(8), backend="analytic")
     with pytest.raises(AnalyticUnsupported):
         evaluate(request)
+
+
+# ---------------------------------------------------------------------------
+# error-support overflow: auto falls back, an explicit request fails early
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def overflowing():
+    """GeAr(24,1,2): its error support outgrows MAX_SUPPORT."""
+    return gear_spec(24, 1, 2).to_model()
+
+
+def test_auto_falls_back_to_sampling_when_support_overflows(overflowing):
+    request = EvalRequest.monte_carlo(overflowing, 1024, seed=5,
+                                      backend="auto")
+    assert resolve_backend(request).name == "sampling"
+    result = evaluate(request)
+    assert result.stats.samples == 1024
+    sampled = evaluate(dataclasses.replace(request, backend="sampling"))
+    assert result.to_json() == sampled.to_json()
+
+
+def test_explicit_analytic_overflow_raises_at_resolve_time(overflowing):
+    request = EvalRequest.exhaustive(overflowing, backend="analytic")
+    with pytest.raises(AnalyticUnsupported, match="error support exceeds"):
+        resolve_backend(request)
+    with pytest.raises(AnalyticUnsupported, match="error support exceeds"):
+        evaluate(request)
+
+
+@pytest.fixture()
+def symbolic_passes(monkeypatch):
+    """Count the analytic planner's symbolic passes."""
+    from repro.engine import analytic
+
+    calls = []
+    original = analytic._symbolic_pass
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "_symbolic_pass", spy)
+    return calls
+
+
+def test_small_layout_is_not_planned_at_dispatch(adder, symbolic_passes):
+    """2**ops <= MAX_SUPPORT proves the fit without running the pass."""
+    request = EvalRequest.exhaustive(adder, backend="auto")
+    assert resolve_backend(request).name == "analytic"
+    assert symbolic_passes == []
+    evaluate(request)
+    assert symbolic_passes == [8]
+
+
+def test_pre_bound_at_the_cap_is_not_planned(symbolic_passes):
+    """GeAr(23,1,2) has 20 emission ops: 2**20 == MAX_SUPPORT fits."""
+    adder = gear_spec(23, 1, 2).to_model()
+    request = EvalRequest.exhaustive(adder, backend="auto")
+    assert resolve_backend(request).name == "analytic"
+    assert symbolic_passes == []
+
+
+def test_overflow_verdict_is_memoised_across_profiles(overflowing,
+                                                      symbolic_passes):
+    """GeAr(24,1,2) has 21 emission ops: planned once, at dispatch."""
+    uniform = EvalRequest.monte_carlo(overflowing, 64, seed=1,
+                                      backend="auto")
+    sparse = dataclasses.replace(uniform,
+                                 distribution=SparseOperands(24, 0.25))
+    with obs.collecting() as col:
+        assert resolve_backend(uniform).name == "sampling"
+        assert resolve_backend(sparse).name == "sampling"
+    assert symbolic_passes == [24]
+    assert col.snapshot().counters == {"engine.analytic.plan.overflow": 1}
+
+
+def test_second_profile_reuses_the_symbolic_pass(symbolic_passes):
+    """The rows never depend on the profile: one pass serves them all."""
+    adder = gear_spec(20, 1, 2).to_model()
+    request = EvalRequest.exhaustive(adder, backend="auto")
+    with obs.collecting() as col:
+        evaluate(request)
+        evaluate(EvalRequest.monte_carlo(
+            adder, 64, seed=1, distribution=SparseOperands(20, 0.25),
+            backend="auto"))
+        evaluate(request)
+    assert symbolic_passes == [20]
+    counters = col.snapshot().counters
+    assert counters["engine.analytic.plan.miss"] == 2
+    assert counters["engine.analytic.plan.hit"] == 1
+    assert "engine.analytic.plan.overflow" not in counters
+
+
+def test_overflowing_auto_request_coalesces_as_sampling():
+    wire = {"adder": {"gear": [24, 1, 2]}, "mode": "monte_carlo",
+            "samples": 1024, "seed": 3}
+    auto = protocol.build_request(dict(wire, backend="auto"))
+    sampled = protocol.build_request(dict(wire, backend="sampling"))
+    key = protocol.eval_coalesce_key(auto)
+    assert key is not None
+    assert key == protocol.eval_coalesce_key(sampled)
 
 
 # ---------------------------------------------------------------------------
