@@ -216,26 +216,26 @@ class WindowedSpeculativeAdder(AdderModel):
     def error_probability(self) -> float:
         """Exact analytic error probability from the window geometry.
 
-        Uses the first-principles DP over per-bit states
-        (:func:`repro.core.error_model.error_probability_windows`), which
-        applies to *any* window layout — subclasses with a paper-model
-        mapping (GeAr, ACA, ETAII, GDA) override this with Eq. 5-7 to stay
-        on the paper's arithmetic.
+        Uses the carry chain over per-bit states
+        (:func:`repro.engine.analytic.window_ep_med`), which applies to
+        *any* window layout — subclasses with a paper-model mapping (GeAr,
+        ACA, ETAII, GDA) override this with Eq. 5-7 to stay on the
+        paper's arithmetic.
         """
-        from repro.core.error_model import error_probability_windows
+        from repro.engine.analytic import window_ep_med
 
-        return error_probability_windows(self.windows, self.width)
+        return window_ep_med(self.width, self.windows)[0]
 
     def mean_error_distance(self) -> float:
         """Exact analytic E[|approx - exact|] for uniform operands.
 
-        Delegates to the field-expectation identity
-        (:func:`repro.core.error_model.mean_error_distance_windows`), which
-        holds for any window geometry.
+        Reads the same carry chain
+        (:func:`repro.engine.analytic.window_ep_med`), which holds for any
+        window geometry.
         """
-        from repro.core.error_model import mean_error_distance_windows
+        from repro.engine.analytic import window_ep_med
 
-        return mean_error_distance_windows(self.windows, self.width)
+        return window_ep_med(self.width, self.windows)[1]
 
     def detection_flags(self, a: IntLike, b: IntLike) -> List[IntLike]:
         """§3.3 error-detection flag per speculative window.

@@ -3,7 +3,8 @@
 * :mod:`repro.core.gear` — the (N, R, P) configuration model of §3.1 and
   the vectorised functional adder,
 * :mod:`repro.core.error_model` — the analytic error-probability model of
-  §3.2 (Eqs. 4–7) plus an exact dynamic-programming reference,
+  §3.2 (Eqs. 4–7) plus exact EP/MED entry points to the carry chain of
+  :func:`repro.engine.analytic.window_ep_med`,
 * :mod:`repro.core.correction` — the configurable error detection and
   correction scheme of §3.3, with cycle accounting,
 * :mod:`repro.core.configspace` — enumeration of valid configurations

@@ -2,13 +2,13 @@
 
 §3.2 hard-codes ρ[Pr] = 1/2 and ρ[Gr] = 1/4 — correct for uniform
 operands, off by an order of magnitude for skewed real-world data (see the
-distribution ablation).  This module generalises the *exact* DP engine to
-position-dependent probabilities:
+distribution ablation).  This module feeds position-dependent
+probabilities to the exact error engine:
 
 1. :func:`estimate_bit_statistics` measures per-bit-position
    (generate, propagate, kill) rates from operand samples,
-2. :func:`error_probability_bitwise` runs the carry/run-length DP with
-   those rates.
+2. :func:`error_probability_bitwise` runs the exact carry chain of
+   :mod:`repro.engine.analytic` with those rates.
 
 The prediction is exact when operand bits are independent across
 positions; real data has cross-bit correlation, so residual gaps remain —
@@ -89,50 +89,20 @@ def statistics_from_distribution(
 def error_probability_bitwise(config: GeArConfig, stats: BitStatistics) -> float:
     """Exact ρ[Error] under independent-per-position bit statistics.
 
-    Same DP as :func:`repro.core.error_model.error_probability_exact`
-    (state = carry into the next bit × trailing propagate-run length), but
-    the per-bit transition probabilities come from ``stats``.  With
+    The carry chain of :func:`repro.engine.analytic.window_ep_med` (state =
+    carry into the next bit × trailing propagate-run length) with the
+    per-bit transition probabilities taken from ``stats``.  With
     ``BitStatistics.uniform`` this reproduces the paper's model exactly.
     """
+    from repro.engine.analytic import window_ep_med
+
     if stats.width != config.n:
         raise ValueError(
             f"statistics cover {stats.width} bits, config needs {config.n}"
         )
-    windows = config.windows()
-    if len(windows) == 1:
-        return 0.0
-    checks = {}
-    max_pred = 0
-    for w in windows[1:]:
-        pred = w.prediction_bits
-        max_pred = max(max_pred, pred)
-        checks.setdefault(w.result_low - 1, []).append(pred)
-
-    cap = max_pred
-    state = {(0, 0): 1.0}
-    error_mass = 0.0
-    for bit in range(config.n):
-        g = stats.generate[bit]
-        p = stats.propagate[bit]
-        k = max(0.0, 1.0 - g - p)
-        nxt: dict = {}
-
-        def put(key, value):
-            if value:
-                nxt[key] = nxt.get(key, 0.0) + value
-
-        for (carry, run), mass in state.items():
-            put((carry, min(run + 1, cap)), mass * p)
-            put((1, 0), mass * g)
-            put((0, 0), mass * k)
-        if bit in checks:
-            for pred in sorted(checks[bit], reverse=True):
-                for key in list(nxt):
-                    carry, run = key
-                    if carry == 1 and run >= pred:
-                        error_mass += nxt.pop(key)
-        state = nxt
-    return error_mass
+    rates = [(g, p, max(0.0, 1.0 - g - p))
+             for g, p in zip(stats.generate, stats.propagate)]
+    return window_ep_med(config.n, config.windows(), rates)[0]
 
 
 def predict_error_rate(

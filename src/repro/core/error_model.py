@@ -19,9 +19,11 @@ Three engines are provided:
    used to validate the DP in tests.
 
 3. :func:`error_probability_exact` — the exact error probability for
-   i.i.d. uniform operand bits, computed from first principles (a dynamic
-   program over bit positions with state (carry into next bit, trailing
-   propagate-run length)) with no reference to the paper's event set.
+   i.i.d. uniform operand bits, computed from first principles with no
+   reference to the paper's event set: the carry chain over per-bit
+   states (carry into next bit, trailing propagate-run length) of
+   :func:`repro.engine.analytic.window_ep_med`, which also yields the
+   exact MED (:func:`mean_error_distance_analytic`).
 
 A noteworthy reproduction finding: engines 1 and 3 agree to machine
 precision on every strict configuration (integer ``(N-L)/R``).  The paper's event set looks truncated
@@ -198,66 +200,15 @@ def error_probability_brute(config: GeArConfig, max_events: int = 22) -> float:
 def error_probability_exact(config: GeArConfig) -> float:
     """Exact ρ[Error] for i.i.d. uniform operand bits, from first principles.
 
-    Agrees with :func:`error_probability` on every configuration (see the
-    module docstring); retained as an independent validation path and for
-    windowed adders whose geometry deviates from GeAr's (partial windows
-    use their actual prediction depths here).
-
-    A sub-adder window errs iff the true carry entering its lowest read bit
-    is 1 *and* all its prediction bits propagate — then and only then does
-    its result field miss an incoming carry.  The probability that no
-    window errs is computed by a forward DP over bit positions with state
-    ``(carry into the next bit, trailing propagate-run length)``; the run
-    length is capped at the largest prediction depth.  When every P
-    prediction bits propagate, the carry leaving the prediction span equals
-    the carry entering it, so the check at the span's top bit sees exactly
-    the quantities needed.
+    Agrees with :func:`error_probability` on every strict configuration
+    (see the module docstring); retained as an independent validation
+    path — partial configurations use their actual prediction depths
+    here.  The carry chain of :func:`repro.engine.analytic.window_ep_med`
+    computes it.
     """
-    return error_probability_windows(config.windows(), config.n)
+    from repro.engine.analytic import window_ep_med
 
-
-def error_probability_windows(windows, n: int) -> float:
-    """Exact ρ[Error] of an arbitrary windowed speculative adder.
-
-    Works from the actual :class:`SpeculativeWindow` geometry, so it covers
-    ETAIIM's fused segments and GDA's zero-anchored blocks as well as plain
-    GeAr configurations.  Windows anchored at bit 0 see every lower bit and
-    cannot err, so they contribute no check.
-    """
-    if len(windows) == 1:
-        return 0.0
-    checks = {}
-    max_pred = 0
-    for w in windows[1:]:
-        if w.low == 0:
-            continue  # sees all lower bits: exact
-        pred = w.prediction_bits
-        max_pred = max(max_pred, pred)
-        checks.setdefault(w.result_low - 1, []).append(pred)
-    if not checks:
-        return 0.0
-
-    cap = max_pred
-    # state[(carry, run)] = probability mass; run capped at `cap`.
-    state = {(0, 0): 1.0}
-    error_mass = 0.0
-    for bit in range(n):
-        nxt: dict = {}
-
-        def put(key, value):
-            nxt[key] = nxt.get(key, 0.0) + value
-
-        for (carry, run), mass in state.items():
-            put((carry, min(run + 1, cap)), mass * 0.5)  # propagate
-            put((1, 0), mass * 0.25)  # generate
-            put((0, 0), mass * 0.25)  # kill
-        if bit in checks:
-            for pred in sorted(checks[bit], reverse=True):
-                for (carry, run) in list(nxt):
-                    if carry == 1 and run >= pred:
-                        error_mass += nxt.pop((carry, run))
-        state = nxt
-    return error_mass
+    return window_ep_med(config.n, config.windows())[0]
 
 
 def accuracy_percentage(config: GeArConfig, exact: bool = False) -> float:
@@ -294,47 +245,11 @@ def mean_error_distance_upper_bound(config: GeArConfig) -> float:
     return med
 
 
-def mean_error_distance_windows(windows, n: int) -> float:
-    """Exact E[|approx - exact|] of a windowed speculative adder.
-
-    Uses linearity of expectation over the output fields: each window's
-    local value ``v = A_w + B_w`` follows the triangular distribution of a
-    sum of two i.i.d. uniforms, so E[(v >> P) mod 2^R] is computable in
-    closed (enumerated) form per window regardless of window overlap.  The
-    exact sum's expectation is 2^N - 1, hence
-
-        MED = (2^N - 1) - Σ_w E[field_w]·2^{result_low_w} - P(cout)·2^N
-
-    (approximate never exceeds exact for these adders, so E[error] = MED).
-
-    Args:
-        windows: the adder's :class:`SpeculativeWindow` list.
-        n: operand width.
-    """
-    import numpy as np
-
-    expected_approx = 0.0
-    for w in windows:
-        length = w.length
-        if length > 26:
-            raise ValueError(
-                f"window length {length} too large for exact MED enumeration"
-            )
-        v = np.arange(0, (1 << (length + 1)) - 1, dtype=np.int64)
-        counts = np.minimum(v, (1 << (length + 1)) - 2 - v) + 1
-        probs = counts / float(4 ** length)
-        field = (v >> w.prediction_bits) & ((1 << w.result_bits) - 1)
-        expected_approx += float((probs * field).sum()) * 2.0 ** w.result_low
-    # Speculative carry out of the last window.
-    last_len = windows[-1].length
-    p_cout = 1.0 - (2 ** last_len + 1) / float(2 ** (last_len + 1))
-    expected_approx += p_cout * 2.0 ** n
-    return (2.0 ** n - 1.0) - expected_approx
-
-
 def mean_error_distance_analytic(config: GeArConfig) -> float:
     """Exact E[|approx - exact|] of a GeAr configuration (uniform operands)."""
-    return mean_error_distance_windows(config.windows(), config.n)
+    from repro.engine.analytic import window_ep_med
+
+    return window_ep_med(config.n, config.windows())[1]
 
 
 def mean_error_distance_paper_model(config: GeArConfig) -> float:

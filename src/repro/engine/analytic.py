@@ -16,10 +16,10 @@ states, with the accumulated signed error carried alongside, visits each
 bit once and yields the exact distribution:
 
 * scanning bit ``i`` multiplies in the per-bit transition probabilities
-  ``rho_g = alpha_i^2`` (generate), ``rho_p = 2 alpha_i (1 - alpha_i)``
-  (propagate) and ``rho_k = (1 - alpha_i)^2`` (kill), where ``alpha_i``
-  is the probability that bit ``i`` of an operand is one (both operands
-  i.i.d. per bit);
+  ``rho_g`` (generate), ``rho_p`` (propagate) and ``rho_k`` (kill); for
+  a PMF they are ``alpha_i^2``, ``2 alpha_i (1 - alpha_i)`` and
+  ``(1 - alpha_i)^2``, where ``alpha_i`` is the probability that bit
+  ``i`` of an operand is one (both operands i.i.d. per bit);
 * a *miss* of window ``w`` — the window computing its field with local
   carry-in 0 while the true carry into ``result_low`` is 1 — fires at
   the end of bit ``result_low - 1`` exactly when ``carry == 1`` and the
@@ -63,6 +63,11 @@ plain reductions of the PMF; MRED and the amplitude/information accuracy
 averages depend on the joint (error, exact sum) distribution and remain
 ``None`` in analytic results.
 
+When only EP and MED of a plain speculative layout are wanted,
+:func:`window_ep_med` walks the same schedule and segment matrices as a
+support-free carry chain: it never tracks error values, so it never
+overflows (R=1 layouts outgrow ``MAX_SUPPORT`` from N=24).
+
 The DP is vectorised in two passes.  A *symbolic* pass walks the event
 bits only, on arrays, tracking for every error value an upper bound on
 its trailing propagate run; that discovers the full error support and
@@ -100,6 +105,7 @@ __all__ = [
     "analytic_overflow",
     "bit_probability_profile",
     "error_pmf",
+    "window_ep_med",
 ]
 
 #: Version of the analytic formulation; folded into cache keys so stored
@@ -376,14 +382,22 @@ def _emission_ops(entries: Sequence[Tuple[int, int]],
         yield threshold, cap + 1, delta
 
 
-def _segment_matrix(n_states: int, cap: int, alpha: float, g: int,
+def _alpha_rates(alpha: float) -> Tuple[float, float, float]:
+    """Per-bit ``(rho_g, rho_p, rho_k)`` of two i.i.d. operand bits that
+    are one with probability ``alpha``."""
+    return (alpha * alpha, 2.0 * alpha * (1.0 - alpha), (1.0 - alpha) ** 2)
+
+
+def _segment_matrix(n_states: int, cap: int,
+                    rates: Tuple[float, float, float], g: int,
                     with_generate: bool = True) -> np.ndarray:
     """Closed-form ``(carry, run)`` transition for ``g`` homogeneous bits.
 
-    Equal to the one-bit transition raised to the ``g``-th power, but
-    built directly: a trailing run of length ``r < g`` ends at the last
-    non-propagate bit, whose kind alone fixes the carry, so those states
-    get the start-independent geometric weights ``rho_p**r * rho_g`` /
+    ``rates`` is each bit's ``(rho_g, rho_p, rho_k)``.  Equal to the
+    one-bit transition raised to the ``g``-th power, but built directly:
+    a trailing run of length ``r < g`` ends at the last non-propagate
+    bit, whose kind alone fixes the carry, so those states get the
+    start-independent geometric weights ``rho_p**r * rho_g`` /
     ``rho_p**r * rho_k``; the only start-dependent mass is the
     all-propagate branch (probability ``rho_p**g``), which keeps the
     carry and advances the run by ``g`` (saturating at ``cap``).
@@ -392,9 +406,7 @@ def _segment_matrix(n_states: int, cap: int, alpha: float, g: int,
     generate branch — truncated bits move error mass on generate, so
     that branch cannot be error-preserving matrix algebra.
     """
-    rho_g = alpha * alpha
-    rho_p = 2.0 * alpha * (1.0 - alpha)
-    rho_k = (1.0 - alpha) ** 2
+    rho_g, rho_p, rho_k = rates
     M = np.zeros((n_states, n_states), dtype=np.float64)
     if with_generate:
         fresh = min(g, cap)
@@ -404,7 +416,7 @@ def _segment_matrix(n_states: int, cap: int, alpha: float, g: int,
         if g > cap:
             # In-gap runs that already saturated: the run ends at a
             # non-propagate bit cap..g-1 places back.
-            if rho_p == 1.0:  # pragma: no cover - 2a(1-a) < 1 always
+            if rho_p == 1.0:  # every bit propagates
                 tail = float(g - cap)
             else:
                 tail = (rho_p ** cap - rho_p ** g) / (1.0 - rho_p)
@@ -421,16 +433,98 @@ def _segment_matrix(n_states: int, cap: int, alpha: float, g: int,
 
 
 @lru_cache(maxsize=512)
-def _cached_segment_matrix(n_states: int, cap: int, alpha: float, g: int,
+def _cached_segment_matrix(n_states: int, cap: int,
+                           rates: Tuple[float, float, float], g: int,
                            with_generate: bool) -> np.ndarray:
     """Process-wide segment-matrix cache.
 
-    The matrix depends only on ``(cap, alpha, g)``, not on the layout, so
+    The matrix depends only on ``(cap, rates, g)``, not on the layout, so
     sweeps over many same-width configurations share entries — helped
-    along by :func:`error_pmf` rounding ``cap`` up to a power of two.
+    along by :func:`_state_space` rounding ``cap`` up to a power of two.
     Callers must treat the returned array as read-only.
     """
-    return _segment_matrix(n_states, cap, alpha, g, with_generate)
+    return _segment_matrix(n_states, cap, rates, g, with_generate)
+
+
+def _segments(n_states: int, cap: int,
+              rates: Sequence[Tuple[float, float, float]],
+              start: int, stop: int) -> Iterator[np.ndarray]:
+    """Segment matrices for the event-free bits ``[start, stop)``, one
+    per run of equal per-bit rates."""
+    i = start
+    while i < stop:
+        j = i + 1
+        while j < stop and rates[j] == rates[i]:
+            j += 1
+        yield _cached_segment_matrix(n_states, cap, rates[i], j - i, True)
+        i = j
+
+
+def _state_space(schedule: Dict[int, Tuple[Tuple[int, int], ...]]
+                 ) -> Tuple[int, int]:
+    """``(cap, n_states)`` of a schedule's ``(carry, run)`` state space.
+
+    The run saturates at the largest threshold, rounded up to a power of
+    two: a few spare states, but the segment matrices of a sweep's many
+    configurations collide in :func:`_cached_segment_matrix`.
+    """
+    cap = max((threshold for entries in schedule.values()
+               for threshold, _ in entries), default=0)
+    cap = max(cap, 1)
+    if cap & (cap - 1):
+        cap = 1 << cap.bit_length()
+    return cap, 2 * (cap + 1)  # state index = carry * (cap + 1) + run
+
+
+def window_ep_med(
+    width: int,
+    windows: Sequence[object],
+    rates: Optional[Sequence[Tuple[float, float, float]]] = None,
+) -> Tuple[float, float]:
+    """Exact ``(EP, MED)`` of a plain speculative window layout.
+
+    A support-free carry chain over the same ``(carry, run)`` states and
+    emission schedule as :func:`error_pmf`, so it never overflows: the
+    error value is not tracked, only the probability that each schedule
+    entry fires.  Plain-window errors are one-sided (every wrap is
+    re-missed by the next window, and the lowest miss never is), hence
+
+    * EP is the mass absorbed at the miss entries (negative deltas) —
+      the first miss decides that the sum is wrong;
+    * MED ``= -E[error] = -sum(delta * P(entry fires))``, read off a
+      second, never-absorbed copy of the chain.
+
+    Args:
+        width: operand width N.
+        windows: window layout (no truncation, no rectify stage — the
+            PMF covers those).
+        rates: per-bit ``(rho_g, rho_p, rho_k)`` generate / propagate /
+            kill probabilities; ``None`` means uniform operands.
+    """
+    schedule = _emission_schedule(windows, 0)
+    if not schedule:
+        return 0.0, 0.0
+    if rates is None:
+        rates = (_alpha_rates(0.5),) * width
+    elif len(rates) != width:
+        raise ValueError(f"rates has {len(rates)} entries for width {width}")
+    cap, n_states = _state_space(schedule)
+    # Row 0 absorbs at every miss (EP); row 1 never absorbs (MED).
+    chain = np.zeros((2, n_states), dtype=np.float64)
+    chain[:, 0] = 1.0  # carry 0, run 0
+    ep = med = 0.0
+    pos = 0
+    for bit in sorted(schedule):
+        for M in _segments(n_states, cap, rates, pos, bit + 1):
+            chain = chain @ M
+        for threshold, delta in schedule[bit]:
+            hot = cap + 1 + threshold  # carry 1, run >= threshold
+            med -= delta * float(chain[1, hot:].sum())
+            if delta < 0:
+                ep += float(chain[0, hot:].sum())
+                chain[0, hot:] = 0.0
+        pos = bit + 1
+    return ep, med
 
 
 def _normalize_profile(
@@ -511,15 +605,7 @@ def _symbolic_pass(
     if not schedule and truncation == 0:
         return ((0,), (), 1, 4)
 
-    cap = max((threshold for entries in schedule.values()
-               for threshold, _ in entries), default=0)
-    cap = max(cap, 1)
-    if cap & (cap - 1):
-        # Round the saturation point up to a power of two: a few spare
-        # states, but the segment matrices of a sweep's many
-        # configurations collide in _cached_segment_matrix.
-        cap = 1 << cap.bit_length()
-    n_states = 2 * (cap + 1)  # state index = carry * (cap + 1) + run
+    cap, n_states = _state_space(schedule)
 
     # Walk the event bits only, tracking per error value an upper bound on
     # its trailing propagate run (-1 == carry-1 block certainly empty).
@@ -635,26 +721,17 @@ def _bind_profile(
     replay many times (see :func:`adder_error_pmf`).
     """
     errors, steps, cap, n_states = symbolic
-
-    def matrix(alpha: float, g: int, with_generate: bool = True) -> np.ndarray:
-        return _cached_segment_matrix(n_states, cap, alpha, g, with_generate)
-
+    rates = [_alpha_rates(alpha) for alpha in bit_one]
     ops: List[Tuple] = []
     for step in steps:
         tag = step[0]
         if tag == "gap":
-            _, i, stop = step
-            while i < stop:
-                j = i + 1
-                while j < stop and bit_one[j] == bit_one[i]:
-                    j += 1
-                ops.append(("mat", matrix(bit_one[i], j - i)))
-                i = j
+            ops.extend(("mat", M) for M in
+                       _segments(n_states, cap, rates, step[1], step[2]))
         elif tag == "tbit":
             _, bit, n0, dst = step
-            alpha = bit_one[bit]
-            ops.append(("tbit", matrix(alpha, 1, with_generate=False), n0,
-                        dst, alpha * alpha))
+            M = _cached_segment_matrix(n_states, cap, rates[bit], 1, False)
+            ops.append(("tbit", M, n0, dst, rates[bit][0]))
         else:
             ops.append(step)
     return (errors, tuple(ops), cap, n_states)

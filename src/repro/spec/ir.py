@@ -272,13 +272,14 @@ class RectifySpec:
 
 @dataclass(frozen=True)
 class ErrorTerms:
-    """Analytic error terms of a spec, feeding the window-DP analytics.
+    """Analytic error terms of a spec.
 
     ``error_probability``/``mean_error_distance`` are *exact* for any
-    plain speculative window layout (first-principles DP of
-    :mod:`repro.core.error_model`); with a static/OR-reduced low part or a
-    rectify stage the closed forms do not apply and both return ``None``
-    (the full PMF of :mod:`repro.engine.analytic` stays exact there).
+    plain speculative window layout (the carry chain
+    :func:`repro.engine.analytic.window_ep_med`); with a static/OR-reduced
+    low part or a rectify stage the chain does not apply and both return
+    ``None`` (the full PMF of :mod:`repro.engine.analytic` stays exact
+    there).
     ``max_error_distance`` is always available as an upper bound.
     """
 
@@ -291,16 +292,16 @@ class ErrorTerms:
     def error_probability(self) -> Optional[float]:
         if self.truncation or self.rectified:
             return None
-        from repro.core.error_model import error_probability_windows
+        from repro.engine.analytic import window_ep_med
 
-        return error_probability_windows(self.windows, self.width)
+        return window_ep_med(self.width, self.windows)[0]
 
     def mean_error_distance(self) -> Optional[float]:
         if self.truncation or self.rectified:
             return None
-        from repro.core.error_model import mean_error_distance_windows
+        from repro.engine.analytic import window_ep_med
 
-        return mean_error_distance_windows(self.windows, self.width)
+        return window_ep_med(self.width, self.windows)[1]
 
     def max_error_distance(self) -> int:
         """Upper bound on ``|approx - exact|`` over all operand pairs.

@@ -3,7 +3,7 @@
 :class:`SpecAdder` covers every plain speculative spec by riding the
 shared :class:`~repro.adders.base.WindowedSpeculativeAdder` machinery —
 the vectorised windowed sum, §3.3 detection flags, and the exact
-window-DP analytics — so a heterogeneous layout needs zero
+carry-chain analytics — so a heterogeneous layout needs zero
 family-specific code.  :class:`StaticSpecAdder` adds the fixed low part
 (LOA's OR truncation or a version-2 static window, including HOERAA's
 half-adder top bit); :class:`RectifiedSpecAdder` applies the declared
@@ -46,17 +46,6 @@ class SpecAdder(WindowedSpeculativeAdder):
     def is_exact(self) -> bool:
         return self.spec.is_exact
 
-    def error_probability(self) -> float:
-        """Exact window-DP error probability from the spec's terms."""
-        ep = self.spec.to_error_terms().error_probability()
-        assert ep is not None  # plain speculative by construction
-        return ep
-
-    def mean_error_distance(self) -> float:
-        med = self.spec.to_error_terms().mean_error_distance()
-        assert med is not None
-        return med
-
     def max_error_distance(self) -> int:
         return self.spec.to_error_terms().max_error_distance()
 
@@ -78,7 +67,7 @@ class RectifiedSpecAdder(SpecAdder):
     window enabled the result is exact; with a subset, exactly the
     disabled windows' error events remain.
 
-    EP/MED have no closed window-DP form under rectification, so they
+    The carry chain does not cover rectification, so EP/MED
     reduce the exact analytic PMF instead; max-ED comes from the spec's
     terms (enabled windows contribute nothing).
     """

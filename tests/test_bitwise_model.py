@@ -10,9 +10,12 @@ from repro.core.bitwise_model import (
     predict_error_rate,
     statistics_from_distribution,
 )
+from repro.adders.gda import GracefullyDegradingAdder
+from repro.core.configspace import enumerate_configs
 from repro.core.error_model import error_probability_exact
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.engine import EvalRequest, evaluate
+from repro.engine.analytic import window_ep_med
 from repro.utils.distributions import GaussianOperands, SparseOperands, UniformOperands
 
 
@@ -63,6 +66,40 @@ class TestBitwiseProbability:
             assert error_probability_bitwise(
                 cfg, BitStatistics.uniform(n)
             ) == pytest.approx(error_probability_exact(cfg), abs=1e-12)
+
+    def test_rates_match_weighted_enumeration(self):
+        # Brute-force reference over all 4**8 operand pairs, each weighted
+        # by the product of its bits' kind rates — (1,1) -> g, (0,1) and
+        # (1,0) -> p/2 each, (0,0) -> k — under a per-bit (g, p) vector
+        # that no single one-probability alpha produces.
+        n = 8
+        g = np.array([0.05, 0.30, 0.10, 0.40, 0.20, 0.15, 0.35, 0.25])
+        p = np.array([0.70, 0.20, 0.60, 0.45, 0.10, 0.50, 0.30, 0.55])
+        stats = BitStatistics(generate=tuple(g), propagate=tuple(p))
+        rates = [(gi, pi, 1.0 - gi - pi) for gi, pi in zip(g, p)]
+        a, b = np.meshgrid(np.arange(1 << n), np.arange(1 << n))
+        a, b = a.ravel(), b.ravel()
+        weight = np.ones(a.shape)
+        for i in range(n):
+            ai, bi = (a >> i) & 1, (b >> i) & 1
+            weight *= np.where(ai & bi, g[i],
+                               np.where(ai ^ bi, p[i] / 2, 1.0 - g[i] - p[i]))
+        assert weight.sum() == pytest.approx(1.0, abs=1e-12)
+
+        def reference(adder):
+            err = np.abs(np.asarray(adder.add(a, b), dtype=np.int64) - (a + b))
+            return float(weight[err != 0].sum()), float((weight * err).sum())
+
+        for cfg in enumerate_configs(n, allow_partial=True):
+            ep, med = reference(GeArAdder(cfg))
+            assert error_probability_bitwise(cfg, stats) == pytest.approx(
+                ep, abs=1e-12)
+            assert window_ep_med(n, cfg.windows(), rates)[1] == pytest.approx(
+                med, rel=1e-12, abs=1e-12)
+        gda = GracefullyDegradingAdder(n, 2, 4)
+        ep, med = reference(gda)
+        assert window_ep_med(n, gda.windows, rates) == pytest.approx(
+            (ep, med), rel=1e-12, abs=1e-12)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):

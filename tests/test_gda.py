@@ -59,12 +59,12 @@ class TestGdaBehaviour:
     def test_window_dp_gives_true_gda_probability(self):
         # GDA's own geometry (blocks near the bottom see all lower bits)
         # errs slightly less than the GeAr-parameter mapping predicts; the
-        # generic window DP computes the true value.
-        from repro.core.error_model import error_probability_windows
+        # generic carry chain computes the true value.
+        from repro.engine.analytic import window_ep_med
         from repro.metrics.exhaustive import exhaustive_error_probability
 
         gda = GracefullyDegradingAdder(8, 2, 4)
-        true_prob = error_probability_windows(gda.windows, 8)
+        true_prob, _ = window_ep_med(8, gda.windows)
         assert true_prob == pytest.approx(
             exhaustive_error_probability(gda), abs=1e-12
         )

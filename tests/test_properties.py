@@ -196,14 +196,12 @@ class TestAnalyticProperties:
         # The Table II identity, property-tested across the design space.
         if cfg.n % cfg.r != 0 or cfg.p > cfg.n - cfg.r:
             return
-        from repro.core.error_model import mean_error_distance_windows
+        from repro.engine.analytic import window_ep_med
 
         gda = GracefullyDegradingAdder(cfg.n, cfg.r, cfg.p,
                                        enforce_multiple=False)
-        gear_med = mean_error_distance_windows(
-            GeArAdder(cfg).windows, cfg.n
-        )
-        gda_med = mean_error_distance_windows(gda.windows, cfg.n)
+        _, gear_med = window_ep_med(cfg.n, GeArAdder(cfg).windows)
+        _, gda_med = window_ep_med(cfg.n, gda.windows)
         assert abs(gear_med - gda_med) < 1e-9
 
     @given(gear_configs(max_n=24))
