@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +28,10 @@ IntLike = Union[int, np.ndarray]
 
 
 def _validate_operand(name: str, value: IntLike, width: int) -> IntLike:
+    if type(value) is int:
+        if value >= 0 and not value >> width:
+            return value
+        raise ValueError(f"{name}={value} does not fit in {width} bits")
     limit = mask(width)
     if isinstance(value, np.ndarray):
         if not np.issubdtype(value.dtype, np.integer):
@@ -70,7 +74,9 @@ class AdderModel(abc.ABC):
 
     def error_distance(self, a: IntLike, b: IntLike) -> IntLike:
         """``|approximate - exact|`` per operand pair."""
-        diff = self.add(a, b) - self.add_exact(a, b)
+        a = _validate_operand("a", a, self.width)
+        b = _validate_operand("b", b, self.width)
+        diff = self._add_impl(a, b) - (a + b)
         return np.abs(diff) if isinstance(diff, np.ndarray) else abs(diff)
 
     # -- optional capabilities ----------------------------------------------
@@ -188,6 +194,39 @@ def validate_window_cover(windows: Sequence[SpeculativeWindow], width: int) -> N
         raise ValueError(f"windows drive bits up to {expected_low - 1}, need {width - 1}")
 
 
+#: Per-window constants of the scalar/vector sum: ``(low, operand mask,
+#: length, prediction bits P, P mask, result mask, result_low)``.
+WindowSlice = Tuple[int, int, int, int, int, int, int]
+
+
+def window_slices(windows: Sequence[SpeculativeWindow]) -> Tuple[WindowSlice, ...]:
+    """Precompute each window's shifts and masks once per model."""
+    return tuple(
+        (w.low, mask(w.length), w.length, w.prediction_bits,
+         mask(w.prediction_bits), mask(w.result_bits), w.result_low)
+        for w in windows
+    )
+
+
+def windowed_sum(slices: Sequence[WindowSlice], width: int, a: IntLike,
+                 b: IntLike, result: IntLike = 0,
+                 carry_in: Optional[IntLike] = None) -> IntLike:
+    """OR each window's result field into ``result``; append the carry out.
+
+    ``carry_in`` enters the first window only.  The carry out (bit
+    ``width``) is the last window's local carry out — speculative,
+    exactly like the hardware.
+    """
+    local: IntLike = 0
+    for low, wmask, _, p, _, rmask, rlow in slices:
+        local = ((a >> low) & wmask) + ((b >> low) & wmask)
+        if carry_in is not None:
+            local = local + carry_in
+            carry_in = None
+        result = result | (((local >> p) & rmask) << rlow)
+    return result | (((local >> slices[-1][2]) & 1) << width)
+
+
 class WindowedSpeculativeAdder(AdderModel):
     """Adder built from parallel speculative sub-adder windows.
 
@@ -201,17 +240,10 @@ class WindowedSpeculativeAdder(AdderModel):
         super().__init__(width, name)
         validate_window_cover(windows, width)
         self.windows: List[SpeculativeWindow] = list(windows)
+        self._slices = window_slices(self.windows)
 
     def _add_impl(self, a: IntLike, b: IntLike) -> IntLike:
-        result: IntLike = 0
-        local = 0
-        for w in self.windows:
-            wmask = mask(w.length)
-            local = ((a >> w.low) & wmask) + ((b >> w.low) & wmask)
-            field = (local >> w.prediction_bits) & mask(w.result_bits)
-            result = result | (field << w.result_low)
-        carry_out = (local >> self.windows[-1].length) & 1
-        return result | (carry_out << self.width)
+        return windowed_sum(self._slices, self.width, a, b)
 
     def error_probability(self) -> float:
         """Exact analytic error probability from the window geometry.
@@ -247,23 +279,21 @@ class WindowedSpeculativeAdder(AdderModel):
         """
         a = _validate_operand("a", a, self.width)
         b = _validate_operand("b", b, self.width)
-        flags: List[IntLike] = []
-        prev_cout: IntLike = 0
-        for i, w in enumerate(self.windows):
-            wmask = mask(w.length)
-            local = ((a >> w.low) & wmask) + ((b >> w.low) & wmask)
-            cout = (local >> w.length) & 1
-            if i == 0:
-                flags.append(a * 0 if isinstance(a, np.ndarray) else 0)
-            else:
-                p = w.prediction_bits
-                prop = ((a >> w.low) ^ (b >> w.low)) & mask(p)
-                all_prop = (prop == mask(p)) if p else (prop == prop)
+        return self._flags_impl(a, b)
+
+    def _flags_impl(self, a: IntLike, b: IntLike) -> List[IntLike]:
+        """:meth:`detection_flags` for validated operands."""
+        flags: List[IntLike] = [a * 0 if isinstance(a, np.ndarray) else 0]
+        diff = a ^ b
+        cout: IntLike = 0
+        for i, (low, wmask, length, _, pmask, _, _) in enumerate(self._slices):
+            if i:
+                all_prop = ((diff >> low) & pmask) == pmask
                 if isinstance(all_prop, np.ndarray):
-                    flags.append((all_prop.astype(np.int64)) & prev_cout)
+                    flags.append(all_prop.astype(np.int64) & cout)
                 else:
-                    flags.append(int(all_prop) & int(prev_cout))
-            prev_cout = cout
+                    flags.append(int(cout) if all_prop else 0)
+            cout = ((((a >> low) & wmask) + ((b >> low) & wmask)) >> length) & 1
         return flags
 
     def max_error_distance(self) -> int:

@@ -880,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="layer to run (repeatable; default: all six)")
     verify.add_argument("--width", type=int, default=8, metavar="N",
                         help="operand width to verify at (default: 8, "
-                        "exhaustive for the behavioural layer)")
+                        "exhaustive for the behavioural layer; at most 62)")
     verify.add_argument("--json", action="store_true",
                         help="machine-readable ConformanceReport list")
     verify.add_argument("--list-adders", action="store_true",

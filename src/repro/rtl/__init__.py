@@ -21,7 +21,7 @@ package substitutes that flow with a pure-Python equivalent:
 
 from repro.rtl.gates import Op, Gate, GATE_ARITY
 from repro.rtl.netlist import Netlist
-from repro.rtl.sim import simulate, simulate_bus
+from repro.rtl.sim import simulate, simulate_bus, simulate_buses
 from repro.rtl.compile import CompiledKernel, compile_netlist, compiled_kernel
 from repro.rtl.sta import DelayModel, UnitDelayModel, FpgaDelayModel, critical_path_delay, arrival_times
 from repro.rtl.area import estimate_luts
@@ -42,6 +42,7 @@ __all__ = [
     "Netlist",
     "simulate",
     "simulate_bus",
+    "simulate_buses",
     "CompiledKernel",
     "compile_netlist",
     "compiled_kernel",

@@ -8,7 +8,7 @@ behavioural adder models.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Union
+from typing import Dict, Iterable, Mapping, Union
 
 import numpy as np
 
@@ -90,14 +90,28 @@ def simulate(netlist: Netlist, stimulus: Stimulus) -> Dict[str, np.ndarray]:
     return values
 
 
+def simulate_buses(netlist: Netlist, stimulus: Stimulus,
+                   buses: Iterable[str]) -> Dict[str, np.ndarray]:
+    """Simulate once and pack each named output bus into integer words.
+
+    Returns a mapping from bus name to its words (LSB first), in the
+    order ``buses`` names them.
+    """
+    buses = list(buses)
+    for bus in buses:
+        if bus not in netlist.output_buses:
+            raise KeyError(f"unknown output bus {bus!r}; have {sorted(netlist.output_buses)}")
+    values = simulate(netlist, stimulus)
+    words: Dict[str, np.ndarray] = {}
+    for bus in buses:
+        nets = netlist.output_buses[bus]
+        word = np.zeros(values[nets[0]].shape, dtype=np.int64)
+        for i, net in enumerate(nets):
+            word |= values[net].astype(np.int64) << i
+        words[bus] = word
+    return words
+
+
 def simulate_bus(netlist: Netlist, stimulus: Stimulus, bus: str) -> np.ndarray:
     """Simulate and pack one output bus back into integer words (LSB first)."""
-    if bus not in netlist.output_buses:
-        raise KeyError(f"unknown output bus {bus!r}; have {sorted(netlist.output_buses)}")
-    values = simulate(netlist, stimulus)
-    nets = netlist.output_buses[bus]
-    shape = values[nets[0]].shape
-    word = np.zeros(shape, dtype=np.int64)
-    for i, net in enumerate(nets):
-        word |= values[net].astype(np.int64) << i
-    return word
+    return simulate_buses(netlist, stimulus, (bus,))[bus]

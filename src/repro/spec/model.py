@@ -16,7 +16,13 @@ agree on identity and structure.
 
 from __future__ import annotations
 
-from repro.adders.base import AdderModel, IntLike, WindowedSpeculativeAdder
+from repro.adders.base import (
+    AdderModel,
+    IntLike,
+    WindowedSpeculativeAdder,
+    window_slices,
+    windowed_sum,
+)
 from repro.spec.ir import AdderSpec
 from repro.utils.bitvec import mask
 
@@ -81,7 +87,7 @@ class RectifiedSpecAdder(SpecAdder):
 
     def _add_impl(self, a: IntLike, b: IntLike) -> IntLike:
         raw = super()._add_impl(a, b)
-        flags = self.detection_flags(a, b)
+        flags = self._flags_impl(a, b)
         for i in self._rectified:
             raw = raw + (flags[i] << self.windows[i].result_low)
         return raw & mask(self.width + 1)
@@ -124,6 +130,7 @@ class StaticSpecAdder(AdderModel):
         super().__init__(spec.width, spec.name)
         windows = spec.to_windows()
         self.windows = windows[1:] if static is not None else windows
+        self._slices = window_slices(self.windows)
 
     def _add_impl(self, a: IntLike, b: IntLike) -> IntLike:
         t = self.truncation
@@ -133,16 +140,7 @@ class StaticSpecAdder(AdderModel):
             top = ((a ^ b) >> (t - 1)) & 1
             result = (result & mask(t - 1)) | (top << (t - 1))
         carry_in = (a >> (t - 1)) & (b >> (t - 1)) & 1
-        local: IntLike = 0
-        for i, w in enumerate(self.windows):
-            wmask = mask(w.length)
-            local = ((a >> w.low) & wmask) + ((b >> w.low) & wmask)
-            if i == 0:
-                local = local + carry_in
-            field = (local >> w.prediction_bits) & mask(w.result_bits)
-            result = result | (field << w.result_low)
-        carry_out = (local >> self.windows[-1].length) & 1
-        return result | (carry_out << self.width)
+        return windowed_sum(self._slices, self.width, a, b, result, carry_in)
 
     def error_probability(self) -> float:
         return _uniform_pmf(self).error_rate

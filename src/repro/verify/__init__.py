@@ -33,6 +33,7 @@ from repro.verify.report import (
     summarize,
 )
 from repro.verify.runner import (
+    MAX_VERIFY_WIDTH,
     VerifyOptions,
     verify_adder,
     verify_payload,
@@ -44,6 +45,7 @@ from repro.verify.vectors import VectorSet, operand_vectors
 __all__ = [
     "LAYERS",
     "DEFAULT_WIDTH",
+    "MAX_VERIFY_WIDTH",
     "ConformanceReport",
     "Counterexample",
     "LayerResult",

@@ -41,7 +41,7 @@ from repro.metrics.confidence import wilson_interval
 from repro.rtl.compile import compile_netlist
 from repro.rtl.equivalence import check_equivalence
 from repro.rtl.netlist import Netlist
-from repro.rtl.sim import simulate_bus
+from repro.rtl.sim import simulate_bus, simulate_buses
 from repro.rtl.verilog import to_verilog
 from repro.rtl.verilog_parser import parse_verilog
 from repro.verify.report import Counterexample, LayerResult, LayerStatus
@@ -97,16 +97,15 @@ def check_behavioural(model: AdderModel, vectors: VectorSet,
         return LayerResult("behavioural", LayerStatus.SKIP,
                            message="adder has no gate-level netlist model")
 
-    stimulus = {"A": vectors.a, "B": vectors.b}
     expected = np.asarray(model.add(vectors.a, vectors.b))
-    got = simulate_bus(netlist, stimulus, "S")
-    index = _first_mismatch(expected, got)
+    got = simulate_buses(netlist, {"A": vectors.a, "B": vectors.b},
+                         sorted({"S", "ERR"} & set(netlist.output_buses)))
+    index = _first_mismatch(expected, got["S"])
     bus = "S"
-    if index is None and "ERR" in netlist.output_buses:
+    if index is None and "ERR" in got:
         flags = _flags_word(model, vectors.a, vectors.b)
         if flags is not None:
-            index = _first_mismatch(np.asarray(flags),
-                                    simulate_bus(netlist, stimulus, "ERR"))
+            index = _first_mismatch(np.asarray(flags), got["ERR"])
             bus = "ERR"
     if index is None:
         return LayerResult("behavioural", LayerStatus.PASS,
@@ -165,7 +164,7 @@ def check_compiled(model: AdderModel, vectors: VectorSet,
     """Layer: interpreted netlist simulation vs the compiled bit-sliced kernel.
 
     Exact bit-equality on *every* output bus between the gate-by-gate
-    interpreter (:func:`repro.rtl.sim.simulate_bus`) and the straight-line
+    interpreter (:func:`repro.rtl.sim.simulate_buses`) and the straight-line
     word-level kernel (:mod:`repro.rtl.compile`) over the shared vector
     set — exhaustive at the default verify width, so the kernel compiler
     is proven, not sampled, for every registry family.
@@ -177,11 +176,12 @@ def check_compiled(model: AdderModel, vectors: VectorSet,
     kernel = compile_netlist(netlist)
     stimulus = {"A": vectors.a, "B": vectors.b}
     outputs = kernel.run(stimulus)
+    buses = sorted(netlist.output_buses)
+    interpreted = simulate_buses(netlist, stimulus, buses)
     index = None
     bad_bus = ""
-    for bus in sorted(netlist.output_buses):
-        index = _first_mismatch(simulate_bus(netlist, stimulus, bus),
-                                outputs[bus])
+    for bus in buses:
+        index = _first_mismatch(interpreted[bus], outputs[bus])
         if index is not None:
             bad_bus = bus
             break
@@ -272,11 +272,10 @@ def _roundtrip_predicate(netlist: Netlist, parsed: Netlist):
 
     def fails(a: int, b: int) -> bool:
         stimulus = {"A": a, "B": b}
-        return any(
-            int(simulate_bus(netlist, stimulus, bus)[()])
-            != int(simulate_bus(parsed, stimulus, bus)[()])
-            for bus in shared
-        )
+        left = simulate_buses(netlist, stimulus, shared)
+        right = simulate_buses(parsed, stimulus, shared)
+        return any(int(left[bus][()]) != int(right[bus][()])
+                   for bus in shared)
 
     return fails
 
@@ -511,20 +510,24 @@ def check_vector(model: AdderModel, vectors: VectorSet,
     probed = int(indices.size)
     exhaustive = vectors.exhaustive and probed == vectors.count
 
+    sums = a_vec[indices].tolist()
+    distances = ed_vec[indices].tolist()
+    words = (None if flags_vec is None
+             else np.asarray(flags_vec)[indices].tolist())
     mismatch: Optional[int] = None
     what = ""
-    for i in indices:
-        a0, b0 = int(vectors.a[i]), int(vectors.b[i])
-        if int(model.add(a0, b0)) != int(a_vec[i]):
-            mismatch, what = int(i), "add"
+    for j, (i, a0, b0) in enumerate(zip(indices.tolist(),
+                                        vectors.a[indices].tolist(),
+                                        vectors.b[indices].tolist())):
+        if int(model.add(a0, b0)) != sums[j]:
+            mismatch, what = i, "add"
             break
-        if int(model.error_distance(a0, b0)) != int(ed_vec[i]):
-            mismatch, what = int(i), "error_distance"
+        if int(model.error_distance(a0, b0)) != distances[j]:
+            mismatch, what = i, "error_distance"
             break
-        if flags_vec is not None:
-            if int(_flags_word(model, a0, b0)) != int(np.asarray(flags_vec)[i]):
-                mismatch, what = int(i), "detection_flags"
-                break
+        if words is not None and int(_flags_word(model, a0, b0)) != words[j]:
+            mismatch, what = i, "detection_flags"
+            break
 
     if mismatch is None:
         return LayerResult("vector", LayerStatus.PASS, exhaustive=exhaustive,

@@ -43,6 +43,11 @@ from repro.verify.vectors import (
 )
 
 
+#: Widest adder the oracles can check: the vectorised paths sum operands
+#: in int64, and ``a + b`` of two 63-bit operands already overflows it.
+MAX_VERIFY_WIDTH = 62
+
+
 @dataclass(frozen=True)
 class VerifyOptions:
     """Tunables of one conformance run (defaults match the CI smoke job)."""
@@ -61,6 +66,12 @@ class VerifyOptions:
     def __post_init__(self) -> None:
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
+        if self.width > MAX_VERIFY_WIDTH:
+            raise ValueError(
+                f"width must be <= {MAX_VERIFY_WIDTH}, got {self.width}: the "
+                "vectorised oracles sum operands in int64; evaluate wider "
+                "adders with the analytic backend (e.g. gear sweep N "
+                "--backend analytic)")
         unknown = [layer for layer in self.layers if layer not in LAYERS]
         if unknown:
             raise ValueError(

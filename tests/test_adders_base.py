@@ -10,6 +10,7 @@ from repro.adders.base import (
 )
 from repro.adders.rca import RippleCarryAdder
 from repro.adders.cla import CarryLookaheadAdder
+from repro.verify.registry import default_registry, registry_adder
 from tests.conftest import random_pairs
 
 
@@ -63,6 +64,54 @@ class TestOperandValidation:
 
     def test_error_distance(self):
         assert self.adder.error_distance(3, 4) == 0
+
+
+class TestValidationFastPath:
+    """Plain ints take a fast path; every rejection keeps its message."""
+
+    METHODS = ("add", "error_distance", "detection_flags")
+
+    def setup_method(self):
+        self.adder = registry_adder("gear_r2p2", 8)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("value,kind", [(True, "bool"), (3.0, "float")])
+    def test_non_int_rejected(self, method, value, kind):
+        fn = getattr(self.adder, method)
+        message = f"must be an int or integer array, got {kind}$"
+        with pytest.raises(TypeError, match="^a " + message):
+            fn(value, 0)
+        with pytest.raises(TypeError, match="^b " + message):
+            fn(0, value)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("value", [-1, 2 ** 8])
+    def test_out_of_range_rejected(self, method, value):
+        fn = getattr(self.adder, method)
+        with pytest.raises(ValueError,
+                           match=f"^a={value} does not fit in 8 bits$"):
+            fn(value, 0)
+        with pytest.raises(ValueError,
+                           match=f"^b={value} does not fit in 8 bits$"):
+            fn(0, value)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_numpy_scalars_accepted(self, method):
+        fn = getattr(self.adder, method)
+        assert fn(np.int64(200), np.int64(100)) == fn(200, 100)
+
+    @pytest.mark.parametrize("key", [key for key, entry
+                                     in default_registry().items()
+                                     if entry.supports(6)])
+    def test_error_distance_matches_add_exhaustively_n6(self, key):
+        model = registry_adder(key, 6)
+        space = np.arange(1 << 6, dtype=np.int64)
+        a, b = np.repeat(space, space.size), np.tile(space, space.size)
+        np.testing.assert_array_equal(model.error_distance(a, b),
+                                      np.abs(model.add(a, b) - (a + b)))
+        for a0, b0 in zip(a.tolist(), b.tolist()):
+            assert model.error_distance(a0, b0) == abs(
+                model.add(a0, b0) - (a0 + b0)), (key, a0, b0)
 
 
 class TestSpeculativeWindow:

@@ -5,7 +5,9 @@ import pytest
 
 from repro.rtl.gates import Op
 from repro.rtl.netlist import Netlist
-from repro.rtl.sim import simulate, simulate_bus
+from repro import obs
+from repro.rtl.sim import simulate, simulate_bus, simulate_buses
+from repro.spec.catalog import SPEC_CATALOG
 
 
 def _gate_netlist(op: Op, n_inputs: int) -> Netlist:
@@ -114,3 +116,28 @@ class TestStimulusHandling:
         arr = np.array([0b0011, 0b0101], dtype=np.int64)
         got = simulate_bus(nl, {"A": arr, "B": 0b1111}, "S")
         np.testing.assert_array_equal(got, [0b1100, 0b1010])
+
+
+class TestSimulateBuses:
+    @pytest.mark.parametrize("family", sorted(SPEC_CATALOG))
+    def test_matches_per_bus_simulation_exhaustively_n8(self, family):
+        netlist = SPEC_CATALOG[family](8).to_netlist()
+        space = np.arange(1 << 8, dtype=np.int64)
+        stimulus = {"A": np.repeat(space, space.size),
+                    "B": np.tile(space, space.size)}
+        buses = sorted(netlist.output_buses)
+        with obs.collecting() as col:
+            words = simulate_buses(netlist, stimulus, buses)
+        assert col.snapshot().counters["rtl.sim.runs"] == 1
+        assert list(words) == buses
+        for bus in buses:
+            np.testing.assert_array_equal(
+                words[bus], simulate_bus(netlist, stimulus, bus),
+                err_msg=f"{family}: bus {bus}")
+
+    def test_unknown_bus_raises_before_simulating(self):
+        nl = _gate_netlist(Op.AND, 2)
+        with obs.collecting() as col:
+            with pytest.raises(KeyError, match="unknown output bus"):
+                simulate_buses(nl, {"A": 0}, ("S", "Q"))
+        assert "rtl.sim.runs" not in col.snapshot().counters

@@ -99,6 +99,14 @@ def test_verify_endpoint(client):
     assert payload["adders"] == ["gear_r2p2"]
 
 
+@pytest.mark.parametrize("width", [63, 64])
+def test_verify_width_past_int64_is_400(client, width):
+    with pytest.raises(ServeError) as excinfo:
+        client.verify({"adders": ["rca"], "width": width})
+    assert excinfo.value.status == 400
+    assert "width must be <= 62" in excinfo.value.message
+
+
 def test_experiment_endpoint(client):
     payload = client.experiment({"name": "table3", "samples": 2000,
                                  "seed": 3})

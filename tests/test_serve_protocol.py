@@ -186,6 +186,8 @@ def test_build_verify_options_defaults_and_validation():
         protocol.build_verify_options({"adders": ["nope"]})
     with pytest.raises(ProtocolError, match="list of registry keys"):
         protocol.build_verify_options({"adders": "rca"})
+    with pytest.raises(ProtocolError, match="int64"):
+        protocol.build_verify_options({"adders": ["rca"], "width": 63})
 
 
 def test_build_experiment_validates_name():

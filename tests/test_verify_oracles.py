@@ -11,10 +11,12 @@ counterexample.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.rtl.faults import Fault, inject_fault
 from repro.rtl.sim import simulate_bus
 from repro.verify.oracles import (
     check_behavioural,
+    check_compiled,
     check_stats,
     check_vector,
     check_verilog,
@@ -224,3 +226,16 @@ class TestVectorOracle:
         assert result.details["method"] == "add"
         cex = result.counterexample
         assert (cex.width, cex.a, cex.b) == (3, 4, 0)
+
+
+class TestOneSimulationPerStimulus:
+    """Each netlist oracle simulates the circuit once, however many buses."""
+
+    @pytest.mark.parametrize("check", [check_behavioural, check_compiled])
+    def test_err_bus_adder_records_one_run(self, check):
+        model = registry_adder("cesa_rect", 8)
+        assert {"S", "ERR"} <= set(model.build_netlist().output_buses)
+        with obs.collecting() as col:
+            result = check(model, operand_vectors(8))
+        assert result.status is LayerStatus.PASS
+        assert col.snapshot().counters["rtl.sim.runs"] == 1

@@ -7,6 +7,7 @@ the gate-level netlist).
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.cli import main
 from repro.engine import Engine
 from repro.verify import (
     LAYERS,
+    MAX_VERIFY_WIDTH,
     ConformanceReport,
     LayerStatus,
     VerifyOptions,
@@ -36,6 +38,15 @@ class TestVerifyOptions:
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError, match="width"):
             VerifyOptions(width=0)
+
+    @pytest.mark.parametrize("width", [MAX_VERIFY_WIDTH + 1, 64])
+    def test_rejects_widths_past_int64(self, width):
+        # a + b of two 63-bit operands overflows the int64 vector paths.
+        with pytest.raises(ValueError, match="int64.*analytic backend"):
+            VerifyOptions(width=width)
+
+    def test_accepts_the_widest_supported_width(self):
+        assert VerifyOptions(width=MAX_VERIFY_WIDTH).width == 62
 
 
 class TestFullRegistryAcceptance:
@@ -103,7 +114,22 @@ class TestRunner:
         assert {layer["layer"] for layer in payload["layers"]} == set(LAYERS)
 
 
+GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_registry_n8.json"
+
+
 class TestCli:
+    def test_full_registry_json_is_byte_identical_to_golden(self, capsys):
+        # Pins every status, vector count and detail of the whole report.
+        assert main(["verify", "--json"]) == 0
+        assert capsys.readouterr().out == GOLDEN_REPORT.read_text()
+
+    @pytest.mark.parametrize("width", ["63", "64"])
+    def test_width_past_int64_exits_2(self, capsys, width):
+        assert main(["verify", "--adder", "rca", "--width", width]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: width must be <= 62")
+        assert "Traceback" not in err
+
     def test_two_adder_json_smoke(self, capsys):
         # Mirrors the CI verify-smoke job.
         code = main(["verify", "--adder", "rca", "--adder", "gear_r2p2",
