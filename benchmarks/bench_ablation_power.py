@@ -37,14 +37,13 @@ def _run():
     for adder in adders:
         power = characterize_power(adder, samples=SAMPLES, seed=7)
         char = characterize(adder)
-        prob = adder.error_probability()
         rows.append(
             {
                 "name": adder.name,
                 "energy": power.energy_per_op,
                 "delay": char.delay_ns,
                 "edp": power.energy_per_op * char.delay_ns,
-                "p_err": prob if prob is not None else float("nan"),
+                "p_err": adder.error_probability(),
             }
         )
     return rows

@@ -15,8 +15,8 @@ the true (exact-DP) error probability.
 """
 
 from repro.analysis.tables import format_table
-from repro.core.error_model import error_probability_exact
-from repro.core.gear import GeArAdder, GeArConfig
+from repro.core.error_model import error_probability, error_probability_exact
+from repro.core.gear import GeArConfig
 from repro.timing.pipeline import compare_with_model
 
 OPERATIONS = 120_000
@@ -27,15 +27,15 @@ def _run():
     rows = []
     for r, p in CONFIGS:
         strict = (20 - r - p) % r == 0
-        adder = GeArAdder(GeArConfig(20, r, p, allow_partial=not strict))
-        cmp = compare_with_model(adder, operations=OPERATIONS, seed=21)
+        cfg = GeArConfig(20, r, p, allow_partial=not strict)
+        cmp = compare_with_model(cfg, operations=OPERATIONS, seed=21)
         rows.append({
             "config": (r, p),
             "cmp": cmp,
             "strict": strict,
-            "p_model": adder.error_probability(),
-            "p_true": error_probability_exact(adder.config),
-            "k": adder.config.k,
+            "p_model": error_probability(cfg),
+            "p_true": error_probability_exact(cfg),
+            "k": cfg.k,
         })
     return rows
 

@@ -2,10 +2,13 @@
 
 Not a paper artefact — this guards the AdderSpec refactor's performance
 contract: a model compiled from the declarative IR (``spec.to_model()``)
-must cost no more than **2 %** over the legacy hand-written class on an
-engine sweep workload, measured as a min-of-N wall-clock ratio of the
-same sweep.  Both sides run identical geometry (equal fingerprints), so
-any gap is pure dispatch/abstraction overhead, not workload drift.
+must cost no more than **2 %** over the public ``GeArAdder`` constructor
+on an engine sweep workload, measured as a min-of-N wall-clock ratio of
+the same sweep.  ``GeArAdder`` once was a hand-written class; it now
+returns the same spec model under its display name, so the two sides
+share one code path and the ratio pins that the constructor adds no
+per-call cost.  Both sides run identical geometry (equal fingerprints),
+so any gap is pure dispatch/abstraction overhead, not workload drift.
 
 Run with::
 

@@ -2,11 +2,13 @@
 
 Quickstart::
 
-    from repro import GeArAdder, ErrorCorrector
+    from repro import ErrorCorrector, GeArAdder, GeArConfig, error_probability
 
-    adder = GeArAdder.from_params(n=12, r=4, p=4)   # Fig. 3 configuration
+    cfg = GeArConfig(n=12, r=4, p=4)                # Fig. 3 configuration
+    adder = GeArAdder(cfg)
     adder.add(0b101010101010, 0b010101010101)       # approximate sum
-    adder.error_probability()                       # analytic, §3.2
+    error_probability(cfg)                          # paper model, §3.2
+    adder.error_probability()                       # exact, from the windows
     ErrorCorrector(adder).add(4095, 1).value        # exact via §3.3 recovery
 
 Package map:

@@ -3,24 +3,28 @@
 All adders share the :class:`~repro.adders.base.AdderModel` interface:
 ``add(a, b)`` computes the (approximate) sum for scalars or NumPy arrays,
 ``build_netlist()`` returns the gate-level implementation, and
-``error_probability()`` returns the analytic error rate where the paper's
-model applies.
+``error_probability()`` returns the exact error rate for uniform operands.
 
-Baselines: RCA, CLA (exact); ACA-I [8]; ETAI, ETAII, ETAIIM [9];
-ACA-II [10]; GDA [13]; LOA [12].  The GeAr adder itself lives in
-:mod:`repro.core`.
+Exact: RCA, CLA, Kogge-Stone, carry-select and carry-skip.  ETAI [9]
+keeps a bespoke class (its bit-dropping low half has no spec form).
+ACA-I [8], ETAII/ETAIIM [9], ACA-II [10], LOA [12], GDA [13] and GeAr
+are spec models built by the constructors of :mod:`repro.adders.named`.
 """
 
 from repro.adders.base import AdderModel, ExactAdder, SpeculativeWindow, WindowedSpeculativeAdder
 from repro.adders.rca import RippleCarryAdder
 from repro.adders.cla import CarryLookaheadAdder
-from repro.adders.aca1 import AlmostCorrectAdder
-from repro.adders.aca2 import AccuracyConfigurableAdder
 from repro.adders.etai import ErrorTolerantAdderI
-from repro.adders.etaii import ErrorTolerantAdderII
-from repro.adders.etaiim import ErrorTolerantAdderIIM
-from repro.adders.gda import GracefullyDegradingAdder
-from repro.adders.loa import LowerPartOrAdder
+from repro.adders.named import (
+    AccuracyConfigurableAdder,
+    AlmostCorrectAdder,
+    ErrorTolerantAdderII,
+    ErrorTolerantAdderIIM,
+    GeArAdder,
+    GracefullyDegradingAdder,
+    LowerPartOrAdder,
+    add_with_selects,
+)
 from repro.adders.prefix import CarrySelectAdder, CarrySkipAdder, KoggeStoneAdder
 
 __all__ = [
@@ -37,6 +41,8 @@ __all__ = [
     "ErrorTolerantAdderIIM",
     "GracefullyDegradingAdder",
     "LowerPartOrAdder",
+    "GeArAdder",
+    "add_with_selects",
     "KoggeStoneAdder",
     "CarrySelectAdder",
     "CarrySkipAdder",

@@ -92,11 +92,11 @@ class AdderModel(abc.ABC):
         return False
 
     def error_probability(self) -> Optional[float]:
-        """Analytic probability of an erroneous sum for uniform operands.
+        """Exact probability of an erroneous sum for uniform operands.
 
         Returns ``None`` when no analytic model is available for this
-        architecture (the paper's model covers GeAr-expressible adders and,
-        by its §4.4 extension, GDA).
+        architecture (ETAI, custom models).  The paper's Eq. 4-7 model is
+        :func:`repro.core.error_model.error_probability` of a config.
         """
         return None
 
@@ -250,9 +250,10 @@ class WindowedSpeculativeAdder(AdderModel):
 
         Uses the carry chain over per-bit states
         (:func:`repro.engine.analytic.window_ep_med`), which applies to
-        *any* window layout — subclasses with a paper-model mapping (GeAr,
-        ACA, ETAII, GDA) override this with Eq. 5-7 to stay on the
-        paper's arithmetic.
+        *any* window layout.  It equals the paper's Eq. 4-7 model
+        (:func:`repro.core.error_model.error_probability`) on aligned GeAr
+        layouts and is lower where that model over-counts (partial or
+        misaligned windows).
         """
         from repro.engine.analytic import window_ep_med
 

@@ -21,6 +21,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro import obs
+from repro.adders.base import AdderModel
+from repro.core.error_model import error_probability
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.timing.fpga import characterize
 from repro.utils.validation import check_pos_int, check_prob
@@ -31,7 +33,7 @@ class Mode:
     """One rung of the accuracy ladder."""
 
     config: GeArConfig
-    adder: GeArAdder
+    adder: AdderModel
     delay_ns: float
     error_probability: float
 
@@ -49,7 +51,11 @@ class ControllerTrace:
 
 
 def build_mode_ladder(n: int, r: int, p_values: Sequence[int]) -> List[Mode]:
-    """Delay-sorted GeAr modes for one resultant width R."""
+    """Delay-sorted GeAr modes for one resultant width R.
+
+    Each mode's ``error_probability`` is the paper's Eq. 4-7 model of its
+    config.
+    """
     check_pos_int("n", n)
     modes: List[Mode] = []
     for p in p_values:
@@ -61,7 +67,7 @@ def build_mode_ladder(n: int, r: int, p_values: Sequence[int]) -> List[Mode]:
                 config=cfg,
                 adder=adder,
                 delay_ns=characterize(adder).delay_ns,
-                error_probability=adder.error_probability(),
+                error_probability=error_probability(cfg),
             )
         )
     modes.sort(key=lambda m: m.delay_ns)

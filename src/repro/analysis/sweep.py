@@ -175,32 +175,30 @@ def sweep_adder_family(
 ) -> List[SweepResult]:
     """Evaluate a heterogeneous family of adders into comparable rows.
 
-    ``med_fn`` supplies a mean-error-distance estimate for adders without a
-    GeAr-expressible config (e.g. a Monte-Carlo closure); when absent, MED
-    and NED report as NaN for such adders.  A ``samples`` budget adds
-    engine-measured columns exactly as in :func:`sweep_gear_configs`.
+    MED is the adder's exact ``mean_error_distance()`` where it has one;
+    ``med_fn`` supplies an estimate for the others (e.g. a Monte-Carlo
+    closure), and without it their MED and NED report as NaN.  ``k`` counts
+    the adder's sub-adder windows (1 for adders without any).  A
+    ``samples`` budget adds engine-measured columns exactly as in
+    :func:`sweep_gear_configs`.
     """
     results: List[SweepResult] = []
     for adder in adders:
         char = _characterize_quietly(adder)
         prob = adder.error_probability()
-        cfg = getattr(adder, "config", None)
-        if isinstance(cfg, GeArConfig):
-            med = mean_error_distance_analytic(cfg)
-            ned = normalized_error_distance_analytic(cfg)
-            r, p, k = cfg.r, cfg.p, cfg.k
+        analytic_med = getattr(adder, "mean_error_distance", None)
+        if callable(analytic_med):
+            med = analytic_med()
         else:
             med = med_fn(adder) if med_fn else float("nan")
-            bound = getattr(adder, "max_error_distance", None)
-            ned = med / bound() if (med_fn and callable(bound) and bound()) else float("nan")
-            r = p = 0
-            k = 1
+        bound = getattr(adder, "max_error_distance", None)
+        ned = med / bound() if callable(bound) and bound() else float("nan")
         results.append(
             SweepResult(
                 name=adder.name,
-                r=r,
-                p=p,
-                k=k,
+                r=0,
+                p=0,
+                k=len(getattr(adder, "windows", ())) or 1,
                 error_probability=prob if prob is not None else float("nan"),
                 accuracy_pct=(1.0 - prob) * 100.0 if prob is not None else float("nan"),
                 med=med,

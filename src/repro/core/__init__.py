@@ -1,7 +1,7 @@
 """The paper's contribution: the GeAr adder and its companion models.
 
 * :mod:`repro.core.gear` — the (N, R, P) configuration model of §3.1 and
-  the vectorised functional adder,
+  its ``GeArAdder`` constructor (a spec model),
 * :mod:`repro.core.error_model` — the analytic error-probability model of
   §3.2 (Eqs. 4–7) plus exact EP/MED entry points to the carry chain of
   :func:`repro.engine.analytic.window_ep_med`,

@@ -18,21 +18,22 @@ model simply uses ``k - 1 = ceil((N - L)/R)`` speculative sub-adders.  We
 support this with ``allow_partial=True``: the last sub-adder is anchored at
 the top of the word (``high = N-1``) and contributes the remaining
 ``< R`` result bits.  Strict mode (default) raises instead.
+
+The behavioural adder of a configuration is ``GeArAdder(config)``, the
+spec model of :func:`repro.spec.catalog.gear_spec` (re-exported here).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
-from repro.adders.base import (
-    AdderModel,
-    IntLike,
-    SpeculativeWindow,
-    WindowedSpeculativeAdder,
-)
+from repro.adders.base import SpeculativeWindow
+from repro.adders.named import GeArAdder
 from repro.utils.validation import check_pos_int
+
+__all__ = ["GeArAdder", "GeArConfig"]
 
 
 @dataclass(frozen=True)
@@ -127,58 +128,3 @@ class GeArConfig:
                 f"sub-adder length {sub_adder_len} must exceed R={r}"
             )
         return cls(n, r, sub_adder_len - r, allow_partial=allow_partial)
-
-
-class GeArAdder(WindowedSpeculativeAdder):
-    """Functional GeAr adder.
-
-    Wraps :class:`GeArConfig` in the common :class:`AdderModel` interface;
-    behaves bit-exactly like the paper's architecture including the
-    speculative carry out.  Vectorises over NumPy arrays.
-    """
-
-    def __init__(self, config: GeArConfig) -> None:
-        self.config = config
-        super().__init__(
-            config.n,
-            f"GeAr(N={config.n},R={config.r},P={config.p})",
-            config.windows(),
-        )
-
-    @classmethod
-    def from_params(cls, n: int, r: int, p: int, allow_partial: bool = False) -> "GeArAdder":
-        return cls(GeArConfig(n, r, p, allow_partial=allow_partial))
-
-    @property
-    def is_exact(self) -> bool:
-        return self.config.is_exact
-
-    @property
-    def spec(self):
-        """The declarative IR of this configuration (see :mod:`repro.spec`).
-
-        Computed lazily: the spec catalog itself builds GeAr windows from
-        :class:`GeArConfig`, so this module cannot import it at load time.
-        The spec is immutable, so the first build is memoised.
-        """
-        cached = getattr(self, "_spec", None)
-        if cached is None:
-            from repro.spec.catalog import gear_spec
-
-            cfg = self.config
-            cached = gear_spec(cfg.n, cfg.r, cfg.p,
-                               allow_partial=cfg.allow_partial)
-            self._spec = cached
-        return cached
-
-    def error_probability(self) -> float:
-        """Analytic error probability from the paper's model (§3.2)."""
-        from repro.core.error_model import error_probability
-
-        return error_probability(self.config)
-
-    def build_netlist(self):
-        return self.spec.to_netlist()
-
-    def fingerprint(self) -> str:
-        return self.spec.fingerprint()

@@ -39,6 +39,11 @@ MODES = ("monte_carlo", "exhaustive", "fixed")
 #: :func:`repro.engine.backends.resolve_backend`.
 AUTO_BACKEND = "auto"
 
+#: Widest adder the simulating backends (and the conformance oracles)
+#: handle: operands and sums live in int64, and ``a + b`` of two 63-bit
+#: operands already overflows it.  Wider adders need the analytic backend.
+MAX_SIMULATED_WIDTH = 62
+
 
 def fingerprint_adder(adder: "AdderModel") -> str:
     """Stable identity of an adder for cache keying.

@@ -6,7 +6,7 @@ caching and telemetry plumbing, the backend owns the mathematics:
 
 * ``sampling`` — the sharded simulator (Monte-Carlo / exhaustive /
   fixed replay) that has always backed the engine.  Supports every
-  request.
+  request up to :data:`~repro.engine.api.MAX_SIMULATED_WIDTH` bits.
 * ``analytic`` — the exact error-PMF solver of
   :mod:`repro.engine.analytic`.  Supports block-based adders (anything
   carrying an :class:`~repro.spec.ir.AdderSpec`, plus non-overridden
@@ -16,13 +16,14 @@ caching and telemetry plumbing, the backend owns the mathematics:
 * ``compiled`` — the same sharded simulator, but every sum computed by
   the bit-sliced gate-level kernel of :mod:`repro.rtl.compile` instead
   of the behavioural model.  Supports any netlist-bearing adder outside
-  ``fixed`` mode.
+  ``fixed`` mode, up to the same width limit.
 
 Requests name their backend (``EvalRequest.backend``); the pseudo-name
 ``auto`` resolves to ``analytic`` when the request is solvable — which
 includes its error support fitting ``MAX_SUPPORT`` — and falls back to
-``sampling``.  Asking explicitly for a backend that cannot serve
-the request raises :class:`~repro.engine.analytic.AnalyticUnsupported`
+``sampling`` when that supports the request.  Asking explicitly for a
+backend that cannot serve the request (or an ``auto`` request neither
+supports) raises :class:`~repro.engine.analytic.AnalyticUnsupported`
 rather than silently degrading.
 
 Third-party backends plug in through :func:`register_backend`; the
@@ -79,13 +80,27 @@ class Backend(Protocol):
         ...
 
 
+def _width_unsupported(request: "EvalRequest") -> Optional[str]:
+    """Why a simulating backend cannot hold the request's operands."""
+    if request.width > api.MAX_SIMULATED_WIDTH:
+        return (f"width {request.width} exceeds the int64 limit of "
+                f"{api.MAX_SIMULATED_WIDTH} bits for simulated operands; "
+                "use the analytic backend")
+    return None
+
+
 class SamplingBackend:
-    """The sharded simulator — universal fallback for every request."""
+    """The sharded simulator — the fallback for every request up to
+    :data:`~repro.engine.api.MAX_SIMULATED_WIDTH` bits."""
 
     name = "sampling"
 
     def supports(self, request: "EvalRequest") -> bool:
-        return True
+        return self.why_unsupported(request) is None
+
+    def why_unsupported(self, request: "EvalRequest") -> Optional[str]:
+        """Why the request cannot be simulated (or None)."""
+        return _width_unsupported(request)
 
     def evaluate(self, request: "EvalRequest",
                  engine: "Engine") -> "EvalResult":
@@ -195,6 +210,9 @@ class CompiledBackend:
         if request.mode == "fixed":
             return ("fixed mode replays recorded output arrays; there is "
                     "no netlist to simulate")
+        too_wide = _width_unsupported(request)
+        if too_wide is not None:
+            return too_wide
         from repro.rtl.compile import _netlist_of
 
         if _netlist_of(request.adder) is None:
@@ -237,19 +255,23 @@ def resolve_backend(request: "EvalRequest") -> Backend:
     """Map a request to the backend that will answer it.
 
     ``auto`` prefers ``analytic`` whenever it supports the request and
-    falls back to ``sampling``; a named backend must support the request
-    or :class:`AnalyticUnsupported` is raised.
+    falls back to ``sampling`` when that does; a named backend must
+    support the request.  Otherwise :class:`AnalyticUnsupported` is
+    raised with each candidate's reason.
     """
     if request.backend == api.AUTO_BACKEND:
-        analytic = BACKENDS["analytic"]
-        if analytic.supports(request):
-            return analytic
-        return BACKENDS["sampling"]
-    backend = BACKENDS[request.backend]
-    if not backend.supports(request):
+        candidates = [BACKENDS["analytic"], BACKENDS["sampling"]]
+    else:
+        candidates = [BACKENDS[request.backend]]
+    for backend in candidates:
+        if backend.supports(request):
+            return backend
+    reasons = []
+    for backend in candidates:
         why = getattr(backend, "why_unsupported", None)
-        reason = why(request) if callable(why) else None
-        detail = f": {reason}" if reason else ""
-        raise AnalyticUnsupported(
-            f"backend {backend.name!r} cannot evaluate this request{detail}")
-    return backend
+        reason = (why(request) if callable(why) else None) or "unsupported"
+        reasons.append(reason if len(candidates) == 1
+                       else f"{backend.name}: {reason}")
+    raise AnalyticUnsupported(
+        f"backend {request.backend!r} cannot evaluate this request: "
+        + "; ".join(reasons))

@@ -53,7 +53,12 @@ class SpecAdder(WindowedSpeculativeAdder):
         return self.spec.is_exact
 
     def max_error_distance(self) -> int:
-        return self.spec.to_error_terms().max_error_distance()
+        # Memoised: every engine evaluation asks for this bound.
+        bound = getattr(self, "_max_ed_cache", None)
+        if bound is None:
+            bound = self._max_ed_cache = \
+                self.spec.to_error_terms().max_error_distance()
+        return bound
 
     def build_netlist(self):
         return self.spec.to_netlist()

@@ -20,8 +20,10 @@ from typing import Optional
 
 import numpy as np
 
+from repro.adders.base import AdderModel
 from repro.core.correction import ErrorCorrector
-from repro.core.gear import GeArAdder
+from repro.core.error_model import error_probability
+from repro.core.gear import GeArAdder, GeArConfig
 from repro.timing.latency import correction_cycle_counts
 from repro.utils.distributions import OperandDistribution, UniformOperands
 from repro.utils.validation import check_pos_int
@@ -52,7 +54,7 @@ class PipelineRun:
 
 
 def simulate_pipeline(
-    adder: GeArAdder,
+    adder: AdderModel,
     operations: int,
     seed: Optional[int] = 2015,
     distribution: Optional[OperandDistribution] = None,
@@ -100,23 +102,23 @@ class ModelComparison:
 
 
 def compare_with_model(
-    adder: GeArAdder,
+    config: GeArConfig,
     operations: int = 100_000,
     seed: Optional[int] = 2015,
     distribution: Optional[OperandDistribution] = None,
 ) -> ModelComparison:
-    """Measure the pipeline and evaluate the paper's three scenarios.
+    """Measure the pipeline of ``GeArAdder(config)`` and evaluate the
+    paper's three scenarios.
 
     The analytic scenarios cost each erroneous addition 1 (best), k/2
-    (average) or k-1 (worst) extra cycles at the *analytic* error
+    (average) or k-1 (worst) extra cycles at the paper's Eq. 4-7 error
     probability; the measurement uses the actual per-addition correction
     counts.
     """
-    run = simulate_pipeline(adder, operations, seed=seed,
+    run = simulate_pipeline(GeArAdder(config), operations, seed=seed,
                             distribution=distribution)
-    k = adder.config.k
-    p_err = adder.error_probability()
-    scenarios = correction_cycle_counts(k)
+    p_err = error_probability(config)
+    scenarios = correction_cycle_counts(config.k)
     return ModelComparison(
         measured_cycles_per_op=run.cycles_per_op,
         predicted_best=1.0 + p_err * scenarios["best"],

@@ -19,6 +19,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro import obs
 from repro.engine import fingerprint_adder
+from repro.engine.api import MAX_SIMULATED_WIDTH
 from repro.verify.oracles import (
     ANALYTIC_EXHAUSTIVE_WIDTH,
     MAX_SCALAR_PROBES,
@@ -43,9 +44,8 @@ from repro.verify.vectors import (
 )
 
 
-#: Widest adder the oracles can check: the vectorised paths sum operands
-#: in int64, and ``a + b`` of two 63-bit operands already overflows it.
-MAX_VERIFY_WIDTH = 62
+#: Widest adder the oracles can check — the engine's int64 limit.
+MAX_VERIFY_WIDTH = MAX_SIMULATED_WIDTH
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,21 @@ class TestSweep:
         assert rows[0].error_probability == 0.0
         assert rows[1].med > 0
 
+    def test_family_sweep_reads_exact_model_analytics(self):
+        from repro.core.error_model import (
+            mean_error_distance_analytic,
+            normalized_error_distance_analytic,
+        )
+
+        cfg = GeArConfig(8, 2, 2)
+        gear_row, gda_row = sweep_adder_family(
+            [GeArAdder(cfg), GracefullyDegradingAdder(8, 2, 4)])
+        assert gear_row.med == mean_error_distance_analytic(cfg)
+        assert gear_row.ned == pytest.approx(
+            normalized_error_distance_analytic(cfg))
+        assert gear_row.k == cfg.k
+        assert gda_row.med > 0 and gda_row.k == 4
+
     def test_family_sweep_med_fallback(self):
         from repro.adders.etai import ErrorTolerantAdderI
 

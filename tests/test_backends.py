@@ -110,6 +110,40 @@ def test_explicit_analytic_overflow_raises_at_resolve_time(overflowing):
         evaluate(request)
 
 
+# ---------------------------------------------------------------------------
+# int64 width limit: simulating backends refuse, they never crash in NumPy
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("backend", ["sampling", "compiled", "auto"])
+def test_width_past_int64_limit_raises_typed_error(backend):
+    from repro.engine.api import MAX_SIMULATED_WIDTH
+    from repro.verify.runner import MAX_VERIFY_WIDTH
+
+    assert MAX_VERIFY_WIDTH == MAX_SIMULATED_WIDTH == 62
+    model = gear_spec(64, 2, 2).to_model()
+    request = EvalRequest.monte_carlo(model, 100, seed=1, backend=backend)
+    with pytest.raises(AnalyticUnsupported,
+                       match="int64 limit of 62 bits.*analytic backend"):
+        resolve_backend(request)
+    with pytest.raises(AnalyticUnsupported, match="int64 limit"):
+        evaluate(request)
+
+
+@pytest.mark.parametrize("backend", ["sampling", "compiled", "auto"])
+def test_width_at_int64_limit_still_evaluates(backend):
+    model = gear_spec(62, 2, 2).to_model()
+    result = evaluate(EvalRequest.monte_carlo(model, 256, seed=1,
+                                              backend=backend))
+    assert result.stats.samples == 256
+    assert 0 < result.stats.error_rate <= 1
+
+
+def test_auto_prefers_analytic_past_the_width_limit():
+    model = gear_spec(64, 16, 16).to_model()
+    request = EvalRequest.monte_carlo(model, 100, seed=1, backend="auto")
+    assert resolve_backend(request).name == "analytic"
+
+
 @pytest.fixture()
 def symbolic_passes(monkeypatch):
     """Count the analytic planner's symbolic passes."""

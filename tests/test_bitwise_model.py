@@ -10,7 +10,7 @@ from repro.core.bitwise_model import (
     predict_error_rate,
     statistics_from_distribution,
 )
-from repro.adders.gda import GracefullyDegradingAdder
+from repro.adders import GracefullyDegradingAdder
 from repro.core.configspace import enumerate_configs
 from repro.core.error_model import error_probability_exact
 from repro.core.gear import GeArAdder, GeArConfig

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adders.gda import GracefullyDegradingAdder
+from repro.adders import GracefullyDegradingAdder
 from repro.core.correction import ErrorCorrector
 from repro.core.gear import GeArAdder, GeArConfig
 from tests.conftest import random_pairs
@@ -128,10 +128,11 @@ class TestSelectiveCorrection:
         assert 0 <= (a + b) - safe.value <= plain_err
 
     def test_partial_enable_never_worse_than_none(self):
-        adder = GeArAdder(GeArConfig(16, 2, 2))
+        cfg = GeArConfig(16, 2, 2)
+        adder = GeArAdder(cfg)
         a, b = random_pairs(16, 20000, seed=4)
         none = np.abs(np.asarray(adder.add(a, b)) - (a + b)).mean()
-        spec = adder.config.k - 1
+        spec = cfg.k - 1
         for enabled_count in (1, 3, spec):
             mask = [i >= spec - enabled_count for i in range(spec)]
             res = ErrorCorrector(adder, enabled=mask).add(a, b)

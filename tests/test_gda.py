@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.adders.gda import GracefullyDegradingAdder
+from repro.adders import GracefullyDegradingAdder
+from repro.core.coverage import gear_covers_gda
+from repro.core.error_model import error_probability
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.metrics.exhaustive import exhaustive_stats
 from tests.conftest import random_pairs
@@ -51,10 +53,12 @@ class TestGdaBehaviour:
             rates.append(float(np.mean(np.asarray(gda.add(a, b)) != a + b)))
         assert rates == sorted(rates, reverse=True)
 
-    def test_error_probability_uses_gear_model(self):
+    def test_error_probability_matches_gear_model_when_aligned(self):
+        # §4.4 maps GDA(M_B, M_C) onto GeAr(R=M_B, P=M_C); on an aligned
+        # geometry the exact value equals the paper's model.
         gda = GracefullyDegradingAdder(16, 4, 4)
-        gear = GeArAdder(GeArConfig(16, 4, 4))
-        assert gda.error_probability() == gear.error_probability()
+        assert gda.error_probability() == error_probability(
+            gear_covers_gda(16, 4, 4))
 
     def test_window_dp_gives_true_gda_probability(self):
         # GDA's own geometry (blocks near the bottom see all lower bits)
@@ -68,8 +72,9 @@ class TestGdaBehaviour:
         assert true_prob == pytest.approx(
             exhaustive_error_probability(gda), abs=1e-12
         )
+        assert gda.error_probability() == true_prob
         # The §4.4 mapping (paper model at R=M_B, P=M_C) is conservative.
-        assert gda.error_probability() >= true_prob
+        assert error_probability(gear_covers_gda(8, 2, 4)) >= true_prob
 
     def test_same_med_as_gear_at_equal_params(self):
         # The paper's Table II: identical NED columns for GDA and GeAr.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adders.loa import LowerPartOrAdder
+from repro.adders import LowerPartOrAdder
 from tests.conftest import random_pairs
 
 
@@ -36,6 +36,12 @@ class TestLoa:
         a, b = random_pairs(10, 20000, seed=3)
         ed = np.abs(np.asarray(adder.add(a, b)) - (a + b))
         assert ed.max() <= adder.max_error_distance()
+
+    def test_error_probability_is_the_exact_pmf_value(self):
+        adder = LowerPartOrAdder(12, 4)
+        assert adder.error_probability() == 0.68359375
+        assert adder.max_error_distance() == 31
+        assert LowerPartOrAdder(8, 0).error_probability() == 0.0
 
     def test_more_approx_bits_more_error(self):
         a, b = random_pairs(10, 20000, seed=4)

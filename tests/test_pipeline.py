@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.error_model import error_probability
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.timing.pipeline import ModelComparison, compare_with_model, simulate_pipeline
 from repro.utils.distributions import SparseOperands
@@ -56,29 +57,42 @@ class TestModelComparison:
     @pytest.mark.parametrize("n,r,p", [(12, 4, 4), (20, 5, 5), (16, 2, 2)])
     def test_measurement_within_paper_envelope(self, n, r, p):
         ops = 150_000
-        adder = GeArAdder(GeArConfig(n, r, p))
-        cmp = compare_with_model(adder, operations=ops, seed=7)
+        cfg = GeArConfig(n, r, p)
+        cmp = compare_with_model(cfg, operations=ops, seed=7)
         # Allow Monte-Carlo noise on the measurement (5 sigma of the
         # per-addition stall indicator); for k=2 the envelope has zero
         # width so this slack is what the test actually exercises.
-        p_err = adder.error_probability()
-        sigma = (p_err * (1 - p_err) * (adder.config.k - 1) ** 2 / ops) ** 0.5
+        p_err = error_probability(cfg)
+        sigma = (p_err * (1 - p_err) * (cfg.k - 1) ** 2 / ops) ** 0.5
         assert cmp.predicted_best - 5 * sigma <= cmp.measured_cycles_per_op \
             <= cmp.predicted_worst + 5 * sigma, cmp
 
     def test_k2_measurement_equals_best_scenario(self):
         # With k = 2 every erroneous addition costs exactly one extra
         # cycle, so the measurement converges to the 'best' scenario.
-        adder = GeArAdder(GeArConfig(12, 4, 4))
-        cmp = compare_with_model(adder, operations=400_000, seed=8)
+        cmp = compare_with_model(GeArConfig(12, 4, 4), operations=400_000,
+                                 seed=8)
         assert cmp.measured_cycles_per_op == pytest.approx(
             cmp.predicted_best, abs=1e-3
         )
 
     def test_scenarios_ordered(self):
-        adder = GeArAdder(GeArConfig(16, 2, 2))
-        cmp = compare_with_model(adder, operations=20_000, seed=9)
+        cmp = compare_with_model(GeArConfig(16, 2, 2), operations=20_000,
+                                 seed=9)
         assert cmp.predicted_best <= cmp.predicted_average <= cmp.predicted_worst
+
+    def test_partial_config_uses_the_paper_model(self):
+        # GeAr(16,4,2) is partial: the paper's Eq. 4-7 (0.316887) and the
+        # exact window chain (0.244080) differ, and Table IV's formula
+        # takes the paper's number.
+        cfg = GeArConfig(16, 4, 2, allow_partial=True)
+        cmp = compare_with_model(cfg, operations=2_000, seed=10)
+        p_err = error_probability(cfg)
+        assert p_err == pytest.approx(0.316887, abs=1e-6)
+        assert GeArAdder(cfg).error_probability() == pytest.approx(
+            0.244080, abs=1e-6)
+        assert cmp.predicted_best == 1.0 + p_err
+        assert cmp.predicted_worst == 1.0 + p_err * (cfg.k - 1)
 
     def test_envelope_property(self):
         good = ModelComparison(1.05, 1.0, 1.1, 1.2)

@@ -21,6 +21,16 @@ class TestModeLadder:
         errs = [m.error_probability for m in ladder]
         assert errs == sorted(errs, reverse=True)
 
+    def test_partial_mode_reports_the_paper_model(self):
+        # P=3 leaves (N-L) % R != 0: the paper's Eq. 4-7 and the exact
+        # window chain disagree there, and the ladder carries the former.
+        from repro.core.error_model import error_probability
+
+        (mode,) = build_mode_ladder(16, 2, [3])
+        assert mode.config.allow_partial
+        assert mode.error_probability == error_probability(mode.config)
+        assert mode.error_probability != mode.adder.error_probability()
+
 
 class TestController:
     def test_validation(self, ladder):

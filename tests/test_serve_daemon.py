@@ -107,6 +107,16 @@ def test_verify_width_past_int64_is_400(client, width):
     assert "width must be <= 62" in excinfo.value.message
 
 
+@pytest.mark.parametrize("backend", ["sampling", "compiled", "auto"])
+def test_eval_width_past_int64_is_400(client, backend):
+    with pytest.raises(ServeError) as excinfo:
+        client.eval({"adder": {"family": "gear_r2p2", "width": 64},
+                     "samples": 100, "seed": 1, "backend": backend})
+    assert excinfo.value.status == 400
+    assert "exceeds the int64 limit of 62 bits" in excinfo.value.message
+    assert "analytic backend" in excinfo.value.message
+
+
 def test_experiment_endpoint(client):
     payload = client.experiment({"name": "table3", "samples": 2000,
                                  "seed": 3})

@@ -32,8 +32,11 @@ def test_resolve_family_with_width():
 
 
 def test_resolve_gear_triple():
+    from repro.spec.catalog import gear_spec
+
     adder = protocol.resolve_adder({"gear": [12, 4, 4]})
-    assert (adder.config.n, adder.config.r, adder.config.p) == (12, 4, 4)
+    assert adder.spec == gear_spec(12, 4, 4)
+    assert adder.name == "GeAr(N=12,R=4,P=4)"
 
 
 def test_resolve_spec_document_round_trips():

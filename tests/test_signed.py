@@ -62,13 +62,13 @@ class TestApproximateSigned:
         assert (ed > 0).any()
 
     def test_error_rate_matches_unsigned_model(self):
-        adder = GeArAdder(GeArConfig(8, 2, 2))
-        signed = SignedAdder(adder)
+        cfg = GeArConfig(8, 2, 2)
+        signed = SignedAdder(GeArAdder(cfg))
         a, b = _all_signed_pairs(8)
         rate = float(np.mean(np.asarray(signed.add(a, b)) != a + b))
         from repro.core.error_model import error_probability_exact
 
-        assert rate == pytest.approx(error_probability_exact(adder.config))
+        assert rate == pytest.approx(error_probability_exact(cfg))
 
 
 class TestValidation:
