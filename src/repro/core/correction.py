@@ -35,12 +35,12 @@ an enabled higher sub-adder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.adders.base import IntLike, WindowedSpeculativeAdder
-from repro.utils.bitvec import mask
+from repro.adders.base import (IntLike, WindowedSpeculativeAdder,
+                               _validate_operand, window_slices)
 
 
 @dataclass
@@ -87,6 +87,7 @@ class ErrorCorrector:
                 f"got length {len(enabled)}"
             )
         self.enabled = [bool(e) for e in enabled]
+        self._slices = window_slices(adder.windows)
 
     @property
     def max_cycles(self) -> int:
@@ -96,36 +97,33 @@ class ErrorCorrector:
     def add(self, a: IntLike, b: IntLike) -> CorrectionResult:
         """Add with detection/correction; vectorises over arrays."""
         scalar = not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray))
-        a_arr = np.atleast_1d(np.asarray(a, dtype=np.int64))
-        b_arr = np.atleast_1d(np.asarray(b, dtype=np.int64))
-        a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
+        width = self.adder.width
+        a_arr, b_arr = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(_validate_operand("a", a, width), dtype=np.int64)),
+            np.atleast_1d(np.asarray(_validate_operand("b", b, width), dtype=np.int64)),
+        )
         a_arr = np.ascontiguousarray(a_arr)
         b_arr = np.ascontiguousarray(b_arr)
-        limit = mask(self.adder.width)
-        if a_arr.size and (
-            a_arr.min() < 0 or a_arr.max() > limit or b_arr.min() < 0 or b_arr.max() > limit
-        ):
-            raise ValueError(f"operands must fit in {self.adder.width} bits")
 
-        windows = self.adder.windows
-        k = len(windows)
+        k = len(self._slices)
         n_elem = a_arr.shape
         corrected = np.zeros((k,) + n_elem, dtype=bool)  # index 0 unused
         cycles = np.ones(n_elem, dtype=np.int64)
         corrections = np.zeros(n_elem, dtype=np.int64)
         initial_flags = np.zeros(n_elem, dtype=np.int64)
 
-        for round_index in range(k):  # at most k-1 corrections + final check
-            locals_, couts = self._window_sums(a_arr, b_arr, corrected)
-            flags = self._detect(a_arr, b_arr, couts)
+        # At most k-1 correction rounds, so the last round always breaks
+        # and leaves locals_ holding the final window sums.
+        for round_index in range(k):
+            locals_, flags = self._window_pass(a_arr, b_arr, corrected)
             if round_index == 0:
-                for i in range(1, k):
-                    initial_flags |= flags[i] << i
+                for i, flag in enumerate(flags, start=1):
+                    initial_flags |= flag << i
             # Mask out disabled and already-corrected sub-adders.
             pending = np.zeros((k,) + n_elem, dtype=bool)
-            for i in range(1, k):
+            for i, flag in enumerate(flags, start=1):
                 if self.enabled[i - 1]:
-                    pending[i] = flags[i].astype(bool) & ~corrected[i]
+                    pending[i] = flag.astype(bool) & ~corrected[i]
             any_pending = pending.any(axis=0)
             if not any_pending.any():
                 break
@@ -137,12 +135,10 @@ class ErrorCorrector:
                 corrections += hit
                 cycles += hit
 
-        locals_, couts = self._window_sums(a_arr, b_arr, corrected)
         value = np.zeros(n_elem, dtype=np.int64)
-        for i, w in enumerate(windows):
-            field = (locals_[i] >> w.prediction_bits) & mask(w.result_bits)
-            value |= field << w.result_low
-        value |= couts[-1] << self.adder.width
+        for local, (_, _, _, p, _, rmask, rlow) in zip(locals_, self._slices):
+            value |= ((local >> p) & rmask) << rlow
+        value |= ((locals_[-1] >> self._slices[-1][2]) & 1) << width
 
         if scalar:
             return CorrectionResult(
@@ -155,34 +151,30 @@ class ErrorCorrector:
 
     # ------------------------------------------------------------------ #
 
-    def _window_sums(self, a: np.ndarray, b: np.ndarray, corrected: np.ndarray):
-        """Local sum and carry-out per window, honouring correction state."""
-        locals_: List[np.ndarray] = []
-        couts: List[np.ndarray] = []
-        for i, w in enumerate(self.adder.windows):
-            wmask = mask(w.length)
-            aw = (a >> w.low) & wmask
-            bw = (b >> w.low) & wmask
-            if i > 0 and w.prediction_bits:
-                pmask = mask(w.prediction_bits)
-                forced = ((aw | bw) & pmask) | 1
-                ac = np.where(corrected[i], (aw & ~pmask) | forced, aw)
-                bc = np.where(corrected[i], (bw & ~pmask) | forced, bw)
-            else:
-                ac, bc = aw, bw
-            local = ac + bc
-            locals_.append(local)
-            couts.append((local >> w.length) & 1)
-        return locals_, couts
+    def _window_pass(self, a: np.ndarray, b: np.ndarray, corrected: np.ndarray):
+        """Local sum per window and detector flag per speculative window.
 
-    def _detect(self, a: np.ndarray, b: np.ndarray, couts: List[np.ndarray]):
-        """Detector outputs cp_i & co_{i-1} per window (index 0 unused)."""
-        flags: List[np.ndarray] = [np.zeros(a.shape, dtype=np.int64)]
-        for i, w in enumerate(self.adder.windows):
-            if i == 0:
-                continue
-            p = w.prediction_bits
-            prop = ((a >> w.low) ^ (b >> w.low)) & mask(p)
-            cp = (prop == mask(p)).astype(np.int64)
-            flags.append(cp & couts[i - 1])
-        return flags
+        Flag ``i`` (for window ``i >= 1``, returned at list index ``i-1``)
+        is ``cp_i & co_{i-1}``: all of the window's P prediction bits
+        propagate in the original operands, and the previous window's
+        carry out — after any correction — is 1.  A corrected window sees
+        its prediction-bit inputs forced to ``((a | b) & pmask) | 1``.
+        """
+        locals_: List[np.ndarray] = []
+        flags: List[np.ndarray] = []
+        diff = a ^ b
+        cout = None
+        for i, (low, wmask, length, p, pmask, _, _) in enumerate(self._slices):
+            aw = (a >> low) & wmask
+            bw = (b >> low) & wmask
+            if i:
+                all_prop = ((diff >> low) & pmask) == pmask
+                flags.append(all_prop.astype(np.int64) & cout)
+                if p:
+                    forced = ((aw | bw) & pmask) | 1
+                    aw = np.where(corrected[i], (aw & ~pmask) | forced, aw)
+                    bw = np.where(corrected[i], (bw & ~pmask) | forced, bw)
+            local = aw + bw
+            locals_.append(local)
+            cout = (local >> length) & 1
+        return locals_, flags

@@ -26,8 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.adders.base import _validate_operand
 from repro.rtl.netlist import Netlist
-from repro.rtl.sim import simulate
+from repro.rtl.sim import simulate_buses
 from repro.utils.bitvec import mask
 
 _POLICIES = ("sequential", "parallel")
@@ -72,28 +73,26 @@ class MultiCycleCorrector:
             )
         self.enable_word = sum(1 << i for i, e in enumerate(enabled) if e)
 
-    def _read(self, values, bus: str) -> np.ndarray:
-        nets = self.netlist.output_buses[bus]
-        word = np.zeros(values[nets[0]].shape, dtype=np.int64)
-        for i, net in enumerate(nets):
-            word |= values[net].astype(np.int64) << i
-        return word
-
     def add(self, a, b) -> HarnessResult:
         """Run the correction loop; returns exact sums for enabled flags."""
-        a = np.atleast_1d(np.asarray(a, dtype=np.int64))
-        b = np.atleast_1d(np.asarray(b, dtype=np.int64))
-        a, b = np.broadcast_arrays(a, b)
+        width = self.netlist.input_buses["A"]
+        a, b = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(_validate_operand("a", a, width), dtype=np.int64)),
+            np.atleast_1d(np.asarray(_validate_operand("b", b, width), dtype=np.int64)),
+        )
         corr = np.zeros(a.shape, dtype=np.int64)
         cycles = np.ones(a.shape, dtype=np.int64)
         corrections = np.zeros(a.shape, dtype=np.int64)
 
-        for _ in range(self.spec + 1):
-            values = simulate(
+        # Terminates: each round sets at least one new CORR bit of every
+        # element that still has a pending flag.
+        while True:
+            words = simulate_buses(
                 self.netlist,
                 {"A": a, "B": b, "EN": self.enable_word, "CORR": corr},
+                ("S", "ERR"),
             )
-            err = self._read(values, "ERR") & ~corr & mask(self.spec)
+            err = words["ERR"] & ~corr & mask(self.spec)
             pending = err != 0
             if not pending.any():
                 break
@@ -109,12 +108,8 @@ class MultiCycleCorrector:
             corrections += count
             cycles += pending.astype(np.int64)
 
-        values = simulate(
-            self.netlist,
-            {"A": a, "B": b, "EN": self.enable_word, "CORR": corr},
-        )
         return HarnessResult(
-            value=self._read(values, "S"),
+            value=words["S"],
             cycles=cycles,
             corrections=corrections,
         )

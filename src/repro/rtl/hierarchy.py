@@ -1,4 +1,4 @@
-"""Hierarchical Verilog: modular GeAr RTL and its elaborator.
+"""Hierarchical Verilog: the modular GeAr RTL.
 
 The authors' released RTL is modular — one sub-adder entity instantiated k
 times.  :func:`emit_gear_hierarchical` reproduces that shape: a gate-level
@@ -6,39 +6,18 @@ times.  :func:`emit_gear_hierarchical` reproduces that shape: a gate-level
 that instantiates it per window, wires the operand slices, selects the
 resultant bits and computes the §3.3 detection flags.
 
-:func:`elaborate_hierarchical` parses that exact format back (module
-splitting, instance stitching with part-select connections, vector
-instance-output wires) into a flat :class:`~repro.rtl.netlist.Netlist`, so
-the hierarchical artefact enjoys the same equivalence-check treatment as
-the flat one.  The grammar is deliberately narrow — exactly what the
-emitter produces — and every deviation raises
-:class:`~repro.rtl.verilog_parser.VerilogSyntaxError`.
+:func:`repro.rtl.verilog_parser.parse_verilog` reads the result back,
+inlining each instance, so the hierarchical artefact gets the same
+equivalence checks and lint as the flat one.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.gear import GeArConfig
 from repro.rtl.builders import build_rca
-from repro.rtl.gates import Op
-from repro.rtl.netlist import Netlist
 from repro.rtl.verilog import to_verilog
-from repro.rtl.verilog_parser import VerilogSyntaxError, parse_verilog
-
-_INSTANCE_RE = re.compile(
-    r"^\s*(?P<module>[A-Za-z_]\w*)\s+(?P<inst>[A-Za-z_]\w*)\s*\("
-    r"(?P<conns>[^;]*)\)\s*;\s*$"
-)
-_CONN_RE = re.compile(
-    r"\.(?P<port>[A-Za-z_]\w*)\(\s*(?P<ref>[A-Za-z_]\w*(?:\[\d+(?::\d+)?\])?)\s*\)"
-)
-_VWIRE_RE = re.compile(
-    r"^\s*wire\s+\[(?P<high>\d+):0\]\s+(?P<name>[A-Za-z_]\w*)\s*;\s*$"
-)
-_ASSIGN_RE = re.compile(r"^\s*assign\s+(?P<lhs>\S+)\s*=\s*(?P<rhs>.+);.*$")
-_REF_RE = re.compile(r"^(?P<base>[A-Za-z_]\w*)(?:\[(?P<hi>\d+)(?::(?P<lo>\d+))?\])?$")
 
 
 def emit_gear_hierarchical(config: GeArConfig, name: Optional[str] = None) -> str:
@@ -97,207 +76,3 @@ def emit_gear_hierarchical(config: GeArConfig, name: Optional[str] = None) -> st
 
     lines.append("endmodule")
     return "\n".join(sub_sources) + "\n" + "\n".join(lines) + "\n"
-
-
-def _split_modules(source: str) -> Dict[str, str]:
-    """Module name -> full module text."""
-    modules: Dict[str, str] = {}
-    for match in re.finditer(r"module\s+([A-Za-z_]\w*)\b.*?endmodule",
-                             source, flags=re.S):
-        modules[match.group(1)] = match.group(0)
-    if not modules:
-        raise VerilogSyntaxError("no modules found")
-    return modules
-
-
-def _expand_ref(ref: str, widths: Dict[str, int]) -> List[str]:
-    """A connection reference -> list of bit references, MSB first."""
-    m = _REF_RE.match(ref)
-    if m is None:
-        raise VerilogSyntaxError(f"unsupported connection reference {ref!r}")
-    base, hi, lo = m.group("base"), m.group("hi"), m.group("lo")
-    if hi is None:
-        width = widths.get(base)
-        if width is None:
-            raise VerilogSyntaxError(f"unknown vector {base!r} in connection")
-        return [f"{base}[{i}]" for i in range(width - 1, -1, -1)]
-    if lo is None:
-        return [f"{base}[{hi}]"]
-    return [f"{base}[{i}]" for i in range(int(hi), int(lo) - 1, -1)]
-
-
-def elaborate_hierarchical(source: str, top: Optional[str] = None) -> Netlist:
-    """Flatten the emitted hierarchical format into one netlist.
-
-    Args:
-        source: Verilog text containing leaf modules plus one top module.
-        top: name of the top module (default: the last module in the file).
-    """
-    modules = _split_modules(source)
-    order = list(modules)
-    top_name = top or order[-1]
-    if top_name not in modules:
-        raise VerilogSyntaxError(f"top module {top_name!r} not found")
-
-    # Leaf modules (no instances of other known modules) parse flat.
-    leaves: Dict[str, Netlist] = {}
-    for name, text in modules.items():
-        if name == top_name:
-            continue
-        leaves[name] = parse_verilog(text)
-
-    body = modules[top_name].splitlines()
-    result = Netlist(top_name)
-
-    # Header: input/output declarations.
-    input_widths: Dict[str, int] = {}
-    output_widths: Dict[str, int] = {}
-    for line in body:
-        m = re.match(r"\s*(input|output)\s+\[(\d+):0\]\s+([A-Za-z_]\w*)", line)
-        if m:
-            direction, high, bus = m.group(1), int(m.group(2)), m.group(3)
-            if direction == "input":
-                input_widths[bus] = high + 1
-                result.add_input_bus(bus, high + 1)
-            else:
-                output_widths[bus] = high + 1
-
-    # vector wires for instance outputs: name -> width
-    vector_widths: Dict[str, int] = {}
-    # mapping from "vecname[i]" to a concrete net in `result`
-    alias: Dict[str, str] = {}
-    outputs: Dict[str, Dict[int, str]] = {b: {} for b in output_widths}
-
-    def resolve(ref: str) -> str:
-        if ref in alias:
-            return alias[ref]
-        m = _REF_RE.match(ref)
-        if m and m.group("base") in input_widths and m.group("hi") is not None:
-            return ref  # primary input bit, already a net
-        raise VerilogSyntaxError(f"unresolvable reference {ref!r}")
-
-    for line in body:
-        if _VWIRE_RE.match(line):
-            m = _VWIRE_RE.match(line)
-            assert m is not None
-            vector_widths[m.group("name")] = int(m.group("high")) + 1
-            continue
-        inst = _INSTANCE_RE.match(line)
-        if inst and inst.group("module") in leaves:
-            leaf = leaves[inst.group("module")]
-            prefix = inst.group("inst")
-            conns = dict(
-                (c.group("port"), c.group("ref"))
-                for c in _CONN_RE.finditer(inst.group("conns"))
-            )
-            # Map leaf input bits to outer nets.
-            port_map: Dict[str, str] = {}
-            widths = {**input_widths, **vector_widths}
-            for bus, width in leaf.input_buses.items():
-                if bus not in conns:
-                    raise VerilogSyntaxError(
-                        f"instance {prefix} leaves port {bus} unconnected"
-                    )
-                bits = _expand_ref(conns[bus], widths)
-                if len(bits) != width:
-                    raise VerilogSyntaxError(
-                        f"width mismatch on {prefix}.{bus}"
-                    )
-                for i, ref in enumerate(reversed(bits)):  # LSB first
-                    port_map[f"{bus}[{i}]"] = resolve(ref)
-            # Replay leaf gates with prefixed names.
-            rename: Dict[str, str] = dict(port_map)
-            for gate in leaf.topological_order():
-                if gate.op is Op.INPUT:
-                    continue
-                new_name = f"{prefix}__{gate.output}".replace("[", "_").replace("]", "")
-                inputs = tuple(rename[n] for n in gate.inputs)
-                result.add_gate(gate.op, inputs, output=new_name,
-                                group=gate.group)
-                rename[gate.output] = new_name
-            # Bind leaf outputs to the instance's vector wire.
-            for bus, nets in leaf.output_buses.items():
-                if bus not in conns:
-                    continue
-                target = conns[bus]
-                if target not in vector_widths:
-                    raise VerilogSyntaxError(
-                        f"instance output {prefix}.{bus} must drive a "
-                        f"declared vector wire, got {target!r}"
-                    )
-                if vector_widths[target] != len(nets):
-                    raise VerilogSyntaxError(f"width mismatch on wire {target}")
-                for i, net in enumerate(nets):
-                    alias[f"{target}[{i}]"] = rename[net]
-            continue
-        assign = _ASSIGN_RE.match(line)
-        if assign:
-            lhs = assign.group("lhs")
-            rhs = assign.group("rhs").strip()
-            m = _REF_RE.match(lhs)
-            if m is None or m.group("hi") is None or m.group("lo") is not None:
-                raise VerilogSyntaxError(f"unsupported assign target {lhs!r}")
-            bus, index = m.group("base"), int(m.group("hi"))
-            if bus not in output_widths:
-                raise VerilogSyntaxError(f"assign to non-output {bus!r}")
-            outputs[bus][index] = _parse_top_expr(result, rhs, resolve)
-            continue
-
-    for bus, width in output_widths.items():
-        missing = [i for i in range(width) if i not in outputs[bus]]
-        if missing:
-            raise VerilogSyntaxError(f"output {bus} bits unassigned: {missing}")
-        result.set_output_bus(bus, [outputs[bus][i] for i in range(width)])
-    return result
-
-
-def _parse_top_expr(netlist: Netlist, text: str, resolve) -> str:
-    """Parse the top module's flag expressions: refs, ^ inside parens, &.
-
-    Grammar (exactly what the emitter produces)::
-
-        expr := term ("&" term)*
-        term := ref | "(" ref "^" ref ")" | "(" expr ")"
-    """
-    tokens = re.findall(r"[A-Za-z_]\w*\[\d+\]|[()^&]", text)
-    pos = 0
-
-    def peek() -> Optional[str]:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected: Optional[str] = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise VerilogSyntaxError(f"unexpected end of expression: {text!r}")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise VerilogSyntaxError(f"expected {expected!r}, got {tok!r}")
-        pos += 1
-        return tok
-
-    def term() -> str:
-        if peek() == "(":
-            take("(")
-            left = expr()
-            if peek() == "^":
-                take("^")
-                right = expr()
-                take(")")
-                return netlist.xor(left, right)
-            take(")")
-            return left
-        return resolve(take())
-
-    def expr() -> str:
-        operands = [term()]
-        while peek() == "&":
-            take("&")
-            operands.append(term())
-        if len(operands) == 1:
-            return operands[0]
-        return netlist.and_(*operands)
-
-    net = expr()
-    if pos != len(tokens):
-        raise VerilogSyntaxError(f"trailing tokens in expression {text!r}")
-    return net

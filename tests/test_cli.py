@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -68,9 +70,9 @@ class TestCommands:
         assert main(["verilog", "12", "4", "4", "--hierarchical"]) == 0
         out = capsys.readouterr().out
         assert out.count("endmodule") == 2
-        from repro.rtl.hierarchy import elaborate_hierarchical
+        from repro.rtl.verilog_parser import parse_verilog
 
-        netlist = elaborate_hierarchical(out)
+        netlist = parse_verilog(out)
         assert netlist.input_buses == {"A": 12, "B": 12}
 
     def test_export_command(self, capsys, tmp_path):
@@ -222,6 +224,16 @@ class TestLintCommand:
         out = capsys.readouterr().out
         assert "dead-logic" in out
         assert "line 3" in out
+
+    def test_hierarchical_golden_has_no_errors(self, capsys):
+        path = Path(__file__).parent / "data" / "cli" / "verilog_12_4_4_hierarchical.v"
+        assert main(["lint", str(path), "--fail-on", "error"]) == 0
+        dead = [line for line in capsys.readouterr().out.splitlines()
+                if "dead-logic" in line]
+        # Window 1's prediction-field sums feed nothing; all point at u1.
+        assert len(dead) == 4
+        assert all("u1__" in line and "(line 64, col 3)" in line
+                   for line in dead)
 
     def test_syntax_error_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "broken.v"

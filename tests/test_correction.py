@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.adders import GracefullyDegradingAdder
+from repro.adders.base import WindowedSpeculativeAdder
 from repro.core.correction import ErrorCorrector
 from repro.core.gear import GeArAdder, GeArConfig
+from repro.rtl.builders import build_gear_corrected
+from repro.rtl.correction_harness import MultiCycleCorrector
+from repro.spec.catalog import SPEC_CATALOG
 from tests.conftest import random_pairs
 
 
@@ -153,6 +157,21 @@ class TestInterface:
         with pytest.raises(ValueError):
             ErrorCorrector(adder).add(256, 0)
 
+    @pytest.mark.parametrize("a,b", [(1.5, 2), (np.array([1.5, 7.9]), 2),
+                                     (True, 1)])
+    def test_non_integer_operands_rejected(self, a, b):
+        adder = GeArAdder(GeArConfig(8, 2, 2))
+        with pytest.raises(TypeError):
+            adder.add(a, b)
+        with pytest.raises(TypeError):
+            ErrorCorrector(adder).add(a, b)
+        with pytest.raises(TypeError):
+            MultiCycleCorrector(build_gear_corrected(8, 2, 2)).add(a, b)
+
+    def test_harness_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            MultiCycleCorrector(build_gear_corrected(8, 2, 2)).add(256, 0)
+
     def test_initial_flags_reported(self):
         adder = GeArAdder(GeArConfig(12, 4, 4))
         result = ErrorCorrector(adder).add(0b000011111111, 0b000000000001)
@@ -162,3 +181,29 @@ class TestInterface:
         adder = GeArAdder(GeArConfig(8, 2, 2))
         result = ErrorCorrector(adder).add(np.array([1, 2, 3]), 5)
         np.testing.assert_array_equal(result.value, [6, 7, 8])
+
+
+_WINDOWED = sorted(
+    key for key, family in SPEC_CATALOG.items()
+    if isinstance(family(max(8, family.min_width)).to_model(),
+                  WindowedSpeculativeAdder)
+)
+
+
+class TestCatalogFamilies:
+    def test_thirteen_windowed_families(self):
+        assert len(_WINDOWED) == 13
+        assert {"etaii_l4", "gda_b2c2", "hetero", "cesa_rect"} <= set(_WINDOWED)
+
+    @pytest.mark.parametrize("key", _WINDOWED)
+    def test_full_correction_exhaustively(self, key):
+        model = SPEC_CATALOG[key](8).to_model()
+        a, b = _exhaustive_pairs(8)
+        result = ErrorCorrector(model).add(a, b)
+        np.testing.assert_array_equal(result.value, a + b)
+        np.testing.assert_array_equal(result.cycles, 1 + result.corrections)
+        assert int(np.max(result.cycles)) <= len(model.windows)
+        expected = np.zeros_like(a)
+        for i, flag in enumerate(model.detection_flags(a, b)):
+            expected |= np.asarray(flag, dtype=np.int64) << i
+        np.testing.assert_array_equal(result.initial_flags, expected)

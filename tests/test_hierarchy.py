@@ -1,4 +1,6 @@
-"""Unit tests for hierarchical Verilog emission and elaboration."""
+"""Hierarchical Verilog: emission, and reading it back with parse_verilog."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +8,9 @@ import pytest
 from repro.core.gear import GeArAdder, GeArConfig
 from repro.rtl.builders import build_gear
 from repro.rtl.equivalence import check_equivalence
-from repro.rtl.hierarchy import elaborate_hierarchical, emit_gear_hierarchical
+from repro.rtl.hierarchy import emit_gear_hierarchical
 from repro.rtl.sim import simulate_bus
-from repro.rtl.verilog_parser import VerilogSyntaxError
+from repro.rtl.verilog_parser import VerilogSyntaxError, parse_verilog
 from tests.conftest import random_pairs
 
 
@@ -41,7 +43,7 @@ class TestElaboration:
     @pytest.mark.parametrize("n,r,p", [(8, 2, 2), (12, 4, 4), (12, 2, 6),
                                        (16, 4, 8)])
     def test_matches_behavioural(self, n, r, p):
-        netlist = elaborate_hierarchical(
+        netlist = parse_verilog(
             emit_gear_hierarchical(GeArConfig(n, r, p))
         )
         adder = GeArAdder(GeArConfig(n, r, p))
@@ -54,13 +56,13 @@ class TestElaboration:
     def test_equivalent_to_flat_netlist_exhaustively(self):
         cfg = GeArConfig(10, 2, 4)
         flat = build_gear(10, 2, 4)
-        hier = elaborate_hierarchical(emit_gear_hierarchical(cfg))
+        hier = parse_verilog(emit_gear_hierarchical(cfg))
         report = check_equivalence(hier, flat)
         assert report.equivalent and report.exhaustive
 
     def test_partial_config(self):
         cfg = GeArConfig(20, 3, 7, allow_partial=True)
-        netlist = elaborate_hierarchical(emit_gear_hierarchical(cfg))
+        netlist = parse_verilog(emit_gear_hierarchical(cfg))
         adder = GeArAdder(cfg)
         a, b = random_pairs(20, 2000, seed=9)
         np.testing.assert_array_equal(
@@ -70,7 +72,7 @@ class TestElaboration:
 
     def test_err_bus_matches_flat(self):
         cfg = GeArConfig(12, 2, 6)
-        hier = elaborate_hierarchical(emit_gear_hierarchical(cfg))
+        hier = parse_verilog(emit_gear_hierarchical(cfg))
         flat = build_gear(12, 2, 6)
         a, b = random_pairs(12, 3000, seed=4)
         np.testing.assert_array_equal(
@@ -78,24 +80,97 @@ class TestElaboration:
             simulate_bus(flat, {"A": a, "B": b}, "ERR"),
         )
 
-    def test_top_selection(self):
+    def test_custom_named_top_found(self):
         src = emit_gear_hierarchical(GeArConfig(8, 2, 2), name="thetop")
-        netlist = elaborate_hierarchical(src, top="thetop")
+        netlist = parse_verilog(src)
         assert netlist.name == "thetop"
-        with pytest.raises(VerilogSyntaxError):
-            elaborate_hierarchical(src, top="missing")
+
+    def test_two_uninstantiated_modules_rejected(self):
+        src = (emit_gear_hierarchical(GeArConfig(8, 2, 2), name="one")
+               + emit_gear_hierarchical(GeArConfig(8, 2, 2), name="two"))
+        with pytest.raises(VerilogSyntaxError, match="one top-level module"):
+            parse_verilog(src)
 
     def test_no_modules_rejected(self):
         with pytest.raises(VerilogSyntaxError):
-            elaborate_hierarchical("wire x;")
+            parse_verilog("wire x;")
 
     def test_timing_close_to_flat(self):
         from repro.timing.fpga import characterize_netlist
 
         cfg = GeArConfig(16, 4, 4)
         hier = characterize_netlist(
-            elaborate_hierarchical(emit_gear_hierarchical(cfg)), name="hier"
+            parse_verilog(emit_gear_hierarchical(cfg)), name="hier"
         )
         flat = characterize_netlist(build_gear(16, 4, 4), name="flat")
         assert hier.delay_ns == pytest.approx(flat.delay_ns, abs=0.1)
         assert abs(hier.luts - flat.luts) <= 4
+
+    def test_golden_equivalent_to_flat_exhaustively(self):
+        path = Path(__file__).parent / "data" / "cli" / "verilog_12_4_4_hierarchical.v"
+        hier = parse_verilog(path.read_text())
+        report = check_equivalence(hier, build_gear(12, 4, 4), max_exhaustive=24)
+        assert report.equivalent and report.exhaustive
+        assert set(hier.output_buses) == {"S", "ERR"}
+
+    def test_inlined_gates_keep_group_and_point_at_instance(self):
+        src = emit_gear_hierarchical(GeArConfig(8, 2, 2))
+        netlist = parse_verilog(src)
+        line = 1 + next(i for i, text in enumerate(src.splitlines())
+                        if " u1 (" in text)
+        inlined = [net for net in netlist.gates if net.startswith("u1__")]
+        assert inlined
+        assert {netlist.source_locations[net] for net in inlined} == {(line, 3)}
+        assert any(netlist.gates[net].group for net in inlined)
+
+
+_SUB = (
+    "module sub (\n  input  [1:0] A,\n  output [1:0] S\n);\n"
+    "  assign S[0] = ~A[0];\n  assign S[1] = ~A[1];\nendmodule\n"
+)
+
+
+def _top(body):
+    """A two-bit top module around ``body``; its body starts on line 13."""
+    return (
+        _SUB
+        + "module top (\n  input  [3:0] A,\n  output [1:0] S\n);\n"
+        + "  wire [1:0] w;\n"
+        + body
+        + "  assign S[0] = w[0];\n  assign S[1] = w[1];\nendmodule\n"
+    )
+
+
+class TestInstanceErrors:
+    def test_well_formed_instance_parses(self):
+        netlist = parse_verilog(_top("  sub u0 (.A(A[3:2]), .S(w));\n"))
+        assert int(simulate_bus(netlist, {"A": 0b0100}, "S")) == 0b10
+
+    def test_unknown_module_located(self):
+        with pytest.raises(VerilogSyntaxError, match="unknown module") as exc:
+            parse_verilog(_top("  nosuch u0 (.A(A[1:0]), .S(w));\n"))
+        assert (exc.value.line, exc.value.column) == (13, 3)
+
+    def test_unconnected_input_located(self):
+        with pytest.raises(VerilogSyntaxError, match="unconnected") as exc:
+            parse_verilog(_top("  sub u0 (.S(w));\n"))
+        assert (exc.value.line, exc.value.column) == (13, 3)
+
+    def test_input_width_mismatch_located(self):
+        with pytest.raises(VerilogSyntaxError, match="width mismatch") as exc:
+            parse_verilog(_top("  sub u0 (.A(A[2:0]), .S(w));\n"))
+        assert (exc.value.line, exc.value.column) == (13, 14)
+
+    def test_output_must_drive_equal_width_vector(self):
+        with pytest.raises(VerilogSyntaxError, match="vector wire") as exc:
+            parse_verilog(_top("  wire [2:0] v;\n  sub u0 (.A(A[1:0]), .S(v));\n"))
+        assert (exc.value.line, exc.value.column) == (14, 26)
+
+    def test_vector_read_range_checked(self):
+        src = _top("  sub u0 (.A(A[1:0]), .S(w));\n").replace("w[1];", "w[2];")
+        with pytest.raises(VerilogSyntaxError, match="out of range"):
+            parse_verilog(src)
+
+    def test_undriven_vector_read_rejected(self):
+        with pytest.raises(VerilogSyntaxError, match="before an instance"):
+            parse_verilog(_top(""))
