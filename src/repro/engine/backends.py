@@ -213,9 +213,9 @@ class CompiledBackend:
         too_wide = _width_unsupported(request)
         if too_wide is not None:
             return too_wide
-        from repro.rtl.compile import _netlist_of
+        from repro.rtl.compile import find_kernel
 
-        if _netlist_of(request.adder) is None:
+        if find_kernel(request.adder) is None:
             return (f"adder {request.adder.name!r} has no gate-level "
                     "netlist to compile")
         return None

@@ -60,24 +60,36 @@ class PartialStats:
             raise ValueError("approximate and exact outputs must align")
         if approx.size == 0:
             raise ValueError("empty shard")
-        ed = np.abs(approx - exact)
+        # One metric at a time, each shard-sized buffer dropped before the
+        # next is made: the reducer's peak memory, not its arithmetic,
+        # sets its cost.
+        ed = np.subtract(approx, exact)
+        np.abs(ed, out=ed)
+        err_count = int(np.count_nonzero(ed))
+        sum_ed = float(np.sum(ed, dtype=np.float64))
+        max_ed = int(ed.max())
+        # ED / max(exact, 1): the denominator is never zero.
+        red = np.maximum(exact, 1, dtype=np.float64)
+        np.divide(ed, red, out=red)
+        sum_red = float(np.sum(red, dtype=np.float64))
+        del ed, red
         acc_amp = accuracy_amplitude(approx, exact)
-        acc_inf = accuracy_information(approx, exact, out_width)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            red = ed / np.maximum(exact, 1)
         # The 1e-12 slack matches acceptance_probability()'s float-dust rule.
         hits = tuple(
             (float(t), int(np.count_nonzero(acc_amp >= t - 1e-12)))
             for t in thresholds
         )
+        sum_amp = float(np.sum(acc_amp, dtype=np.float64))
+        del acc_amp
+        acc_inf = accuracy_information(approx, exact, out_width)
         return cls(
-            samples=int(ed.size),
-            err_count=int(np.count_nonzero(ed)),
-            sum_ed=float(np.sum(ed, dtype=np.float64)),
-            sum_red=float(np.sum(red, dtype=np.float64)),
-            sum_amp=float(np.sum(acc_amp, dtype=np.float64)),
+            samples=int(approx.size),
+            err_count=err_count,
+            sum_ed=sum_ed,
+            sum_red=sum_red,
+            sum_amp=sum_amp,
             sum_inf=float(np.sum(acc_inf, dtype=np.float64)),
-            max_ed=int(ed.max()),
+            max_ed=max_ed,
             maa_hits=hits,
         )
 

@@ -27,6 +27,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.adders.base import AdderModel
+from repro.utils.bitvec import mask, popcount
 
 
 def error_distances(adder: AdderModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -36,20 +37,33 @@ def error_distances(adder: AdderModel, a: np.ndarray, b: np.ndarray) -> np.ndarr
 
 def accuracy_amplitude(approx: np.ndarray, exact: np.ndarray) -> np.ndarray:
     """ACC_amp per result: 1 - |approx-exact|/exact, clamped to [0, 1]."""
-    approx = np.asarray(approx, dtype=np.float64)
-    exact_f = np.asarray(exact, dtype=np.float64)
+    approx = np.asarray(approx)
+    exact = np.asarray(exact)
+    # Float64 arithmetic in one result buffer: the ufuncs cast their
+    # operands chunk by chunk, so no shard-sized float copies are made.
+    acc = np.asarray(np.subtract(approx, exact, dtype=np.float64))
+    np.abs(acc, out=acc)
     with np.errstate(divide="ignore", invalid="ignore"):
-        acc = 1.0 - np.abs(approx - exact_f) / exact_f
-    acc = np.where(exact_f == 0, np.where(approx == 0, 1.0, 0.0), acc)
+        np.divide(acc, exact, out=acc, dtype=np.float64)
+    np.subtract(1.0, acc, out=acc)
+    np.copyto(acc, approx == 0, where=exact == 0)
     return np.clip(acc, 0.0, 1.0)
 
 
 def accuracy_information(approx: np.ndarray, exact: np.ndarray, out_width: int) -> np.ndarray:
-    """ACC_inf per result: fraction of matching output bit positions."""
-    diff = np.asarray(approx, dtype=np.int64) ^ np.asarray(exact, dtype=np.int64)
-    wrong = np.zeros(diff.shape, dtype=np.int64)
-    for i in range(out_width):
-        wrong += (diff >> i) & 1
+    """ACC_inf per result: fraction of matching output bit positions.
+
+    The wrong bits are counted in one word-parallel popcount of
+    ``(approx ^ exact) & mask(out_width)``.  Past bit 63 an int64 repeats
+    its sign bit, so a negative difference is wrong in every such position.
+    """
+    diff = np.asarray(np.asarray(approx, dtype=np.int64)
+                      ^ np.asarray(exact, dtype=np.int64))
+    if out_width < 64:
+        diff &= mask(out_width)
+    wrong = popcount(diff)
+    if out_width > 64:
+        wrong += (diff < 0) * (out_width - 64)
     return 1.0 - wrong / float(out_width)
 
 

@@ -58,6 +58,7 @@ __all__ = [
     "clear_kernel_cache",
     "compile_netlist",
     "compiled_kernel",
+    "find_kernel",
     "kernel_cache_size",
     "kernel_key",
     "lane_mask",
@@ -521,12 +522,6 @@ def kernel_key(source: object) -> str:
     return f"compiled/v{COMPILE_VERSION}:{fingerprint}"
 
 
-def _netlist_of(source: object) -> Optional[Netlist]:
-    build = getattr(source, "to_netlist", None) or getattr(
-        source, "build_netlist", None)
-    return build() if callable(build) else None
-
-
 def compiled_kernel(source: object) -> CompiledKernel:
     """The cached compiled kernel of an :class:`~repro.spec.ir.AdderSpec`
     or netlist-bearing :class:`~repro.adders.base.AdderModel`.
@@ -537,17 +532,34 @@ def compiled_kernel(source: object) -> CompiledKernel:
     and recompiles.  Raises :class:`ValueError` when the source has no
     gate-level netlist.
     """
+    kernel = find_kernel(source)
+    if kernel is None:
+        raise ValueError(
+            f"{getattr(source, 'name', type(source).__name__)!r} has no "
+            "gate-level netlist to compile")
+    return kernel
+
+
+def find_kernel(source: object) -> Optional[CompiledKernel]:
+    """:func:`compiled_kernel`, or None when the source has no netlist.
+
+    This is how callers ask whether a source *can* be compiled: a cached
+    fingerprint answers without building its netlist, and a miss builds
+    it once and keeps the kernel for the run that follows.
+    """
+    build = getattr(source, "to_netlist", None) or getattr(
+        source, "build_netlist", None)
+    if not callable(build):
+        return None
     key = kernel_key(source)
     kernel = _KERNEL_CACHE.get(key)
     if kernel is not None:
         obs.count("rtl.compile.cache_hits")
         return kernel
     obs.count("rtl.compile.cache_misses")
-    netlist = _netlist_of(source)
+    netlist = build()
     if netlist is None:
-        raise ValueError(
-            f"{getattr(source, 'name', type(source).__name__)!r} has no "
-            "gate-level netlist to compile")
+        return None
     kernel = compile_netlist(netlist, key=key)
     _KERNEL_CACHE[key] = kernel
     return kernel
@@ -579,7 +591,7 @@ class CompiledAdder:
     """
 
     def __init__(self, model: object) -> None:
-        if _netlist_of(model) is None:
+        if find_kernel(model) is None:
             raise ValueError(
                 f"adder {getattr(model, 'name', '?')!r} has no gate-level "
                 "netlist model")

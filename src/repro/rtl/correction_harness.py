@@ -29,7 +29,7 @@ import numpy as np
 from repro.adders.base import _validate_operand
 from repro.rtl.netlist import Netlist
 from repro.rtl.sim import simulate_buses
-from repro.utils.bitvec import mask
+from repro.utils.bitvec import mask, popcount
 
 _POLICIES = ("sequential", "parallel")
 
@@ -101,9 +101,7 @@ class MultiCycleCorrector:
                 count = np.where(pending, 1, 0)
             else:
                 fix = err
-                count = np.zeros(a.shape, dtype=np.int64)
-                for i in range(self.spec):
-                    count += (err >> i) & 1
+                count = popcount(err)
             corr |= np.where(pending, fix, 0)
             corrections += count
             cycles += pending.astype(np.int64)

@@ -79,17 +79,35 @@ def concat_fields(fields: Iterable[Tuple[IntLike, int]]) -> IntLike:
     return result
 
 
+_M1 = np.uint64(0x5555555555555555)
+_M2 = np.uint64(0x3333333333333333)
+_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_H01 = np.uint64(0x0101010101010101)
+
+
 def popcount(value: IntLike) -> IntLike:
-    """Population count for scalar ints or NumPy arrays."""
+    """Population count for scalar ints or NumPy arrays.
+
+    Arrays are counted as 64-bit words (negative int64 values by their
+    two's-complement pattern) with the branch-free SWAR reduction: pair,
+    nibble and byte partial sums, then one multiply gathers the byte
+    counts into the top byte.  Returns int64 counts of the input's shape.
+    """
     if isinstance(value, np.ndarray):
-        # Kernighan loop is O(bits); vectorised via repeated clears.
-        v = value.astype(np.uint64, copy=True)
-        count = np.zeros_like(v)
-        while np.any(v):
-            nonzero = v != 0
-            count[nonzero] += 1
-            v[nonzero] &= v[nonzero] - 1
-        return count.astype(np.int64)
+        v = value.astype(np.uint64)
+        t = v >> np.uint64(1)
+        t &= _M1
+        v -= t
+        t = v >> np.uint64(2)
+        t &= _M2
+        v &= _M2
+        v += t
+        t = v >> np.uint64(4)
+        v += t
+        v &= _M4
+        v *= _H01
+        v >>= np.uint64(56)
+        return v.view(np.int64)
     return int(value).bit_count() if hasattr(int, "bit_count") else bin(int(value)).count("1")
 
 

@@ -11,7 +11,10 @@ own process-local cache).
 import pytest
 
 from repro import obs
+from repro.adders.etai import ErrorTolerantAdderI
 from repro.engine import Engine, EvalRequest
+from repro.engine.analytic import AnalyticUnsupported
+from repro.engine.backends import resolve_backend
 from repro.rtl.builders import build_gear
 from repro.rtl.compile import (
     COMPILE_VERSION,
@@ -94,6 +97,54 @@ class TestKernelCache:
 
         with pytest.raises(ValueError, match="netlist"):
             compiled_kernel(Fingerprinted())
+
+
+class TestCompiledBackendSupport:
+    """The backend asks the kernel cache whether an adder compiles."""
+
+    def test_cached_kernel_builds_no_netlist(self, monkeypatch):
+        model = _spec().to_model()
+        compiled_kernel(model)
+        builds = []
+        build = type(model).build_netlist
+
+        def counting_build(self):
+            builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(type(model), "build_netlist", counting_build)
+        result = Engine(jobs=1).evaluate(EvalRequest.monte_carlo(
+            model, 4096, seed=3, backend="compiled"))
+        assert result.stats.samples == 4096
+        assert builds == []
+
+    def test_uncached_kernel_builds_one_netlist(self, monkeypatch):
+        model = _spec().to_model()
+        builds = []
+        build = type(model).build_netlist
+
+        def counting_build(self):
+            builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(type(model), "build_netlist", counting_build)
+        Engine(jobs=1).evaluate(EvalRequest.monte_carlo(
+            model, 4096, seed=3, backend="compiled"))
+        assert len(builds) == 1
+        assert kernel_cache_size() == 1
+
+    def test_adder_without_netlist_is_refused(self):
+        model = ErrorTolerantAdderI(8, 4)
+        request = EvalRequest.monte_carlo(model, 256, seed=1,
+                                          backend="compiled")
+        reason = "has no gate-level netlist"
+        with pytest.raises(AnalyticUnsupported, match=reason):
+            resolve_backend(request)
+        with pytest.raises(AnalyticUnsupported, match=reason):
+            Engine(jobs=1).evaluate(request)
+        with pytest.raises(ValueError, match="no gate-level netlist model"):
+            CompiledAdder(model)
+        assert kernel_cache_size() == 0
 
 
 class TestCompiledAdderIdentity:

@@ -108,7 +108,10 @@ class TestDeterminism:
         engine = Engine(jobs=1)
         a = engine.evaluate(EvalRequest(adder=adder, samples=4096, seed=None))
         b = engine.evaluate(EvalRequest(adder=adder, samples=4096, seed=None))
-        assert a.stats.error_rate != b.stats.error_rate
+        # MRED sums ED/exact over the drawn operands, so two runs agree
+        # only if they drew the same error rows.  The error count alone
+        # collides about 2% of the time at EP ~ 0.06 and 4096 samples.
+        assert a.stats.mred != b.stats.mred
 
 
 class TestModesAgainstReferences:
